@@ -120,94 +120,39 @@ bool RdmaCheck::CheckTarget(const char* verb, int src_host, int dst_host, uint32
 }
 
 void RdmaCheck::WritePosted(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
-                            uint64_t remote_addr, uint64_t length, uint32_t rkey,
-                            int64_t now_ns) {
-  sim::OnExploreAccess(dst_host, remote_addr, remote_addr + length);
-  const WriteKey key(src_host, qp_num, wr_id);
-  auto existing = inflight_.find(key);
-  if (existing != inflight_.end()) {
-    // Transport retry of the same WR: the transfer restarts from offset 0
-    // (the ascending-prefix contract), and no new race window opens — the
-    // retry is FIFO-ordered behind the original post on the same QP.
-    existing->second.delivered = 0;
-    return;
-  }
-  CheckTarget("RDMA_WRITE", src_host, dst_host, qp_num, wr_id, remote_addr, length, rkey,
-              now_ns);
-  if (length > 0) {
-    CheckRaces(src_host, dst_host, qp_num, wr_id, remote_addr, length, now_ns);
-  }
-  InflightWrite w;
-  w.dst_host = dst_host;
-  w.remote_addr = remote_addr;
-  w.length = length;
-  w.rkey = rkey;
-  w.posted_at_ns = now_ns;
-  inflight_[key] = w;
-}
-
-void RdmaCheck::CheckRaces(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
-                           uint64_t remote_addr, uint64_t length, int64_t now_ns) {
-  // Remote race: another write to an overlapping range of the same target
-  // host is still in flight, and it is not ordered with this one. Same-QP
-  // pairs are FIFO-ordered by the engine (one WR in flight per QP); a wire
-  // completion removes the record, which is the completion-ordering HB edge.
-  // SG-WRs contribute (and are checked) per extent.
-  for (const auto& [other_key, w] : inflight_) {
-    if (w.dst_host != dst_host || w.length == 0) continue;
-    const auto& [o_src, o_qp, o_wr] = other_key;
-    if (o_src == src_host && o_qp == qp_num) continue;  // FIFO on one QP.
-    bool overlaps = false;
-    uint64_t other_lo = w.remote_addr;
-    uint64_t other_hi = w.remote_addr + w.length;
-    if (w.extents.empty()) {
-      overlaps = remote_addr < other_hi && other_lo < remote_addr + length;
-    } else {
-      for (const SgExtentShadow& e : w.extents) {
-        if (remote_addr < e.remote_addr + e.length && e.remote_addr < remote_addr + length) {
-          overlaps = true;
-          other_lo = e.remote_addr;
-          other_hi = e.remote_addr + e.length;
-          break;
-        }
-      }
-    }
-    if (!overlaps) continue;
-    Emit(DiagKind::kRemoteRace,
-         StrCat("RDMA_WRITE host", src_host, "->host", dst_host, " qp", qp_num, " wr",
-                wr_id, " at t=", now_ns, "ns targets [", remote_addr, ", ",
-                remote_addr + length, ") overlapping in-flight write host", o_src, " qp",
-                o_qp, " wr", o_wr, " [", other_lo, ", ", other_hi, ") posted at t=",
-                w.posted_at_ns, "ns with no happens-before edge"),
-         src_host, dst_host, qp_num, wr_id, now_ns);
-  }
-}
-
-void RdmaCheck::SgWritePosted(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
-                              const std::vector<SgExtentInfo>& extents, uint32_t rkey,
-                              int64_t now_ns) {
+                            const std::vector<SgExtentInfo>& extents, uint32_t rkey,
+                            int64_t now_ns, bool sg_list) {
   for (const SgExtentInfo& e : extents) {
     sim::OnExploreAccess(dst_host, e.remote_addr, e.remote_addr + e.length);
   }
   const WriteKey key(src_host, qp_num, wr_id);
   auto existing = inflight_.find(key);
   if (existing != inflight_.end()) {
-    // Transport retry of the same SG-WR: every extent rewrites from offset 0
-    // and the list cursor restarts; no new race window opens.
-    for (SgExtentShadow& e : existing->second.extents) e.delivered = 0;
+    // Transport retry of the same WR: every extent rewrites from offset 0
+    // (the ascending-prefix contract) and the list cursor restarts. No new
+    // race window opens — the retry is FIFO-ordered behind the original
+    // post on the same QP.
+    for (ExtentShadow& e : existing->second.extents) e.delivered = 0;
     existing->second.cursor = 0;
     existing->second.delivered = 0;
     return;
   }
-  uint64_t total = 0;
+  InflightWrite w;
+  w.dst_host = dst_host;
+  w.remote_addr = extents.empty() ? 0 : extents.front().remote_addr;
+  w.rkey = rkey;
+  w.posted_at_ns = now_ns;
+  w.extents.reserve(extents.size());
   for (size_t i = 0; i < extents.size(); ++i) {
     const SgExtentInfo& e = extents[i];
-    CheckTarget("RDMA_WRITE(sg)", src_host, dst_host, qp_num, wr_id, e.remote_addr,
-                e.length, rkey, now_ns);
+    CheckTarget(sg_list ? "RDMA_WRITE(sg)" : "RDMA_WRITE", src_host, dst_host, qp_num, wr_id,
+                e.remote_addr, e.length, rkey, now_ns);
     if (e.length > 0) {
       CheckRaces(src_host, dst_host, qp_num, wr_id, e.remote_addr, e.length, now_ns);
     }
-    total += e.length;
+    w.length += e.length;
+    w.extents.push_back(ExtentShadow{e.remote_addr, e.length, 0});
+    if (!sg_list) continue;
     // Flag-in-SG-list: only intra-extent delivery order is guaranteed, so a
     // declared completion flag inside the list is readable before sibling
     // extents land — except as the very last byte of the very last extent,
@@ -230,76 +175,64 @@ void RdmaCheck::SgWritePosted(int src_host, int dst_host, uint32_t qp_num, uint6
            src_host, dst_host, qp_num, wr_id, now_ns);
     }
   }
-  InflightWrite w;
-  w.dst_host = dst_host;
-  w.remote_addr = extents.empty() ? 0 : extents[0].remote_addr;
-  w.length = total;
-  w.rkey = rkey;
-  w.posted_at_ns = now_ns;
-  w.extents.reserve(extents.size());
-  for (const SgExtentInfo& e : extents) {
-    w.extents.push_back(SgExtentShadow{e.remote_addr, e.length, 0});
-  }
   inflight_[key] = std::move(w);
 }
 
-void RdmaCheck::SgWriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id,
-                               size_t extent_idx, uint64_t offset, uint64_t length,
-                               int64_t now_ns) {
+void RdmaCheck::CheckRaces(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
+                           uint64_t remote_addr, uint64_t length, int64_t now_ns) {
+  // Remote race: another write to an overlapping range of the same target
+  // host is still in flight, and it is not ordered with this one. Same-QP
+  // pairs are FIFO-ordered by the engine (one WR in flight per QP); a wire
+  // completion removes the record, which is the completion-ordering HB edge.
+  for (const auto& [other_key, w] : inflight_) {
+    if (w.dst_host != dst_host || w.length == 0) continue;
+    const auto& [o_src, o_qp, o_wr] = other_key;
+    if (o_src == src_host && o_qp == qp_num) continue;  // FIFO on one QP.
+    for (const ExtentShadow& e : w.extents) {
+      if (remote_addr >= e.remote_addr + e.length || e.remote_addr >= remote_addr + length) {
+        continue;
+      }
+      Emit(DiagKind::kRemoteRace,
+           StrCat("RDMA_WRITE host", src_host, "->host", dst_host, " qp", qp_num, " wr",
+                  wr_id, " at t=", now_ns, "ns targets [", remote_addr, ", ",
+                  remote_addr + length, ") overlapping in-flight write host", o_src, " qp",
+                  o_qp, " wr", o_wr, " [", e.remote_addr, ", ", e.remote_addr + e.length,
+                  ") posted at t=", w.posted_at_ns, "ns with no happens-before edge"),
+           src_host, dst_host, qp_num, wr_id, now_ns);
+      break;
+    }
+  }
+}
+
+void RdmaCheck::WriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, size_t extent_idx,
+                             uint64_t offset, uint64_t length, int64_t now_ns) {
   auto it = inflight_.find(WriteKey(src_host, qp_num, wr_id));
   if (it == inflight_.end()) return;
   InflightWrite& w = it->second;
   if (extent_idx >= w.extents.size()) return;
-  SgExtentShadow& e = w.extents[extent_idx];
+  ExtentShadow& e = w.extents[extent_idx];
   sim::OnExploreAccess(w.dst_host, e.remote_addr + offset, e.remote_addr + offset + length);
+  if (offset != e.delivered) {
+    Emit(DiagKind::kNonAscendingSegment,
+         StrCat("segment of RDMA_WRITE host", src_host, "->host", w.dst_host, " qp", qp_num,
+                " wr", wr_id, " extent ", extent_idx, " landed at offset ", offset, " at t=",
+                now_ns, "ns; ascending order expected offset ", e.delivered),
+         src_host, w.dst_host, qp_num, wr_id, now_ns);
+  }
   if (extent_idx != w.cursor) {
     Emit(DiagKind::kSgExtentOutOfOrder,
-         StrCat("segment of SG-WR host", src_host, "->host", w.dst_host, " qp", qp_num,
+         StrCat("segment of RDMA_WRITE host", src_host, "->host", w.dst_host, " qp", qp_num,
                 " wr", wr_id, " landed in extent ", extent_idx, " at t=", now_ns,
                 "ns; list order expected extent ", w.cursor),
          src_host, w.dst_host, qp_num, wr_id, now_ns);
   }
-  if (offset != e.delivered) {
-    Emit(DiagKind::kNonAscendingSegment,
-         StrCat("segment of SG-WR host", src_host, "->host", w.dst_host, " qp", qp_num,
-                " wr", wr_id, " extent ", extent_idx, " landed at offset ", offset,
-                " at t=", now_ns, "ns; ascending order expected offset ", e.delivered),
-         src_host, w.dst_host, qp_num, wr_id, now_ns);
-  }
-  e.delivered = std::max(e.delivered, offset + length);
-  w.delivered = std::min(w.delivered + length, w.length);
+  const uint64_t landed_to = std::max(e.delivered, offset + length);
+  w.delivered += landed_to - e.delivered;
+  e.delivered = landed_to;
   while (w.cursor < w.extents.size() &&
          w.extents[w.cursor].delivered >= w.extents[w.cursor].length) {
     ++w.cursor;
   }
-  if (!w.dead_mr_reported && live_mrs_.find(MrKey(w.dst_host, w.rkey)) == live_mrs_.end()) {
-    auto dead = dead_mrs_.find(MrKey(w.dst_host, w.rkey));
-    if (dead != dead_mrs_.end()) {
-      w.dead_mr_reported = true;
-      Emit(DiagKind::kUseAfterDeregister,
-           StrCat("segment of SG-WR host", src_host, "->host", w.dst_host, " qp", qp_num,
-                  " wr", wr_id, " landed at t=", now_ns, "ns in MR rkey=", w.rkey,
-                  " deregistered at t=", dead->second.deregistered_at_ns, "ns"),
-           src_host, w.dst_host, qp_num, wr_id, now_ns);
-    }
-  }
-  CoverFlags(w.dst_host, e.remote_addr + offset, length);
-}
-
-void RdmaCheck::WriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, uint64_t offset,
-                             uint64_t length, int64_t now_ns) {
-  auto it = inflight_.find(WriteKey(src_host, qp_num, wr_id));
-  if (it == inflight_.end()) return;
-  InflightWrite& w = it->second;
-  sim::OnExploreAccess(w.dst_host, w.remote_addr + offset, w.remote_addr + offset + length);
-  if (offset != w.delivered) {
-    Emit(DiagKind::kNonAscendingSegment,
-         StrCat("segment of RDMA_WRITE host", src_host, "->host", w.dst_host, " qp", qp_num,
-                " wr", wr_id, " landed at offset ", offset, " at t=", now_ns,
-                "ns; ascending order expected offset ", w.delivered),
-         src_host, w.dst_host, qp_num, wr_id, now_ns);
-  }
-  w.delivered = std::max(w.delivered, offset + length);
   // Landing into a deregistered MR: the registration must outlive the
   // in-flight write, not just the post.
   if (!w.dead_mr_reported && live_mrs_.find(MrKey(w.dst_host, w.rkey)) == live_mrs_.end()) {
@@ -313,20 +246,15 @@ void RdmaCheck::WriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, uint
            src_host, w.dst_host, qp_num, wr_id, now_ns);
     }
   }
-  CoverFlags(w.dst_host, w.remote_addr + offset, length);
+  CoverFlags(w.dst_host, e.remote_addr + offset, length);
 }
 
 void RdmaCheck::WriteFinished(int src_host, uint32_t qp_num, uint64_t wr_id, int64_t now_ns) {
   (void)now_ns;
   auto it = inflight_.find(WriteKey(src_host, qp_num, wr_id));
   if (it == inflight_.end()) return;
-  const InflightWrite& w = it->second;
-  if (w.extents.empty()) {
-    sim::OnExploreAccess(w.dst_host, w.remote_addr, w.remote_addr + w.length);
-  } else {
-    for (const SgExtentShadow& e : w.extents) {
-      sim::OnExploreAccess(w.dst_host, e.remote_addr, e.remote_addr + e.length);
-    }
+  for (const ExtentShadow& e : it->second.extents) {
+    sim::OnExploreAccess(it->second.dst_host, e.remote_addr, e.remote_addr + e.length);
   }
   inflight_.erase(it);
 }
@@ -459,37 +387,22 @@ void RdmaCheck::FlagTrusted(int dst_host, const void* flag_addr, int64_t now_ns)
   if (f.guard_lo >= f.guard_hi) return;
   // Torn read: the flag byte has landed but some write into the guarded
   // payload range still has undelivered bytes. Only the *undelivered suffix*
-  // counts — a doorbell batch posts every WR at once, and fully-delivered
-  // but not-yet-completed writes are not torn. SG-WRs are checked per extent:
-  // any extent with an undelivered suffix inside the guard is a torn read.
+  // of each extent counts — a doorbell batch posts every WR at once, and
+  // fully-delivered but not-yet-completed writes are not torn.
   for (const auto& [key, w] : inflight_) {
-    if (w.dst_host != dst_host || w.delivered >= w.length) continue;
-    bool torn = false;
-    uint64_t undeliv_lo = w.remote_addr + w.delivered;
-    uint64_t undeliv_hi = w.remote_addr + w.length;
-    if (w.extents.empty()) {
-      torn = undeliv_lo < f.guard_hi && f.guard_lo < undeliv_hi;
-    } else {
-      for (const SgExtentShadow& e : w.extents) {
-        if (e.delivered >= e.length) continue;
-        const uint64_t lo = e.remote_addr + e.delivered;
-        const uint64_t hi = e.remote_addr + e.length;
-        if (lo < f.guard_hi && f.guard_lo < hi) {
-          torn = true;
-          undeliv_lo = lo;
-          undeliv_hi = hi;
-          break;
-        }
-      }
-    }
-    if (torn) {
+    if (w.dst_host != dst_host) continue;
+    for (const ExtentShadow& e : w.extents) {
+      const uint64_t lo = e.remote_addr + e.delivered;
+      const uint64_t hi = e.remote_addr + e.length;
+      if (lo >= hi || lo >= f.guard_hi || f.guard_lo >= hi) continue;
       Emit(DiagKind::kTornRead,
            StrCat("edge ", f.edge_key, " host", dst_host, " trusted flag at addr=", addr,
                   " at t=", now_ns, "ns while write host", std::get<0>(key), " qp",
                   std::get<1>(key), " wr", std::get<2>(key), " into guarded range [",
-                  f.guard_lo, ", ", f.guard_hi, ") has ", undeliv_hi - undeliv_lo,
-                  " undelivered byte(s) at [", undeliv_lo, ", ", undeliv_hi, ")"),
+                  f.guard_lo, ", ", f.guard_hi, ") has ", hi - lo,
+                  " undelivered byte(s) at [", lo, ", ", hi, ")"),
            std::get<0>(key), dst_host, std::get<1>(key), std::get<2>(key), now_ns);
+      break;
     }
   }
 }

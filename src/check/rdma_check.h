@@ -79,8 +79,8 @@ struct Diagnostic {
   int64_t vtime_ns = 0;  // Virtual time of the violating event.
 };
 
-// One extent of a scatter/gather write, as the checker sees it (the verbs
-// layer owns the full descriptor; the shadow needs only the target range).
+// One extent of a write, as the checker sees it (the verbs layer owns the
+// full descriptor; the shadow needs only the target range).
 struct SgExtentInfo {
   uint64_t remote_addr = 0;
   uint64_t length = 0;
@@ -121,32 +121,28 @@ class RdmaCheck {
   void MrRegistered(int host, uint64_t addr, uint64_t length, uint32_t lkey, uint32_t rkey,
                     int64_t now_ns);
   void MrDeregistered(int host, uint32_t lkey, uint32_t rkey, int64_t now_ns);
-  // A one-sided write entered the QP engine. Re-posts of the same
-  // (src, qp, wr_id) are transport retries: the delivered prefix resets (a
-  // retry rewrites from offset 0) and no new race window opens.
+  // A one-sided write entered the QP engine: one WR whose bytes land in
+  // |extents| (one extent for a plain write, one per list entry for an
+  // SG-WR), all under one rkey. Checks each extent's target and races it
+  // against every in-flight write. With |sg_list| set (the WR was posted with
+  // an SG list) it also checks that no declared flag byte rides in the list
+  // except as the final byte of the final extent (kFlagInSgList). Re-posts of
+  // the same (src, qp, wr_id) are transport retries: every extent's delivered
+  // prefix and the list cursor reset (a retry rewrites from offset 0) and no
+  // new race window opens.
   void WritePosted(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
-                   uint64_t remote_addr, uint64_t length, uint32_t rkey, int64_t now_ns);
-  // A segment of an in-flight write landed at the target.
-  void WriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, uint64_t offset,
-                    uint64_t length, int64_t now_ns);
+                   const std::vector<SgExtentInfo>& extents, uint32_t rkey, int64_t now_ns,
+                   bool sg_list = false);
+  // A segment of an in-flight write landed in extent |extent_idx| at
+  // |offset| within that extent. Each extent must fill in ascending order
+  // (kNonAscendingSegment) and the extents in list order
+  // (kSgExtentOutOfOrder); a segment breaking both reports the ascending
+  // violation first.
+  void WriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, size_t extent_idx,
+                    uint64_t offset, uint64_t length, int64_t now_ns);
   // Wire completion (success or retry-exhaustion error): the HB edge that
-  // closes the write's race window. SG-WRs finish through here too (one
-  // completion per WQE).
+  // closes the write's race window.
   void WriteFinished(int src_host, uint32_t qp_num, uint64_t wr_id, int64_t now_ns);
-  // A scatter/gather write entered the QP engine: one WQE, many extents, all
-  // under one rkey. Re-posts of the same (src, qp, wr_id) are transport
-  // retries — every extent's delivered prefix and the list cursor reset.
-  // Checks each extent's target, races against all in-flight writes, and that
-  // no declared flag byte rides in the list except as the final byte of the
-  // final extent (kFlagInSgList).
-  void SgWritePosted(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
-                     const std::vector<SgExtentInfo>& extents, uint32_t rkey, int64_t now_ns);
-  // A segment of an in-flight SG write landed in extent |extent_idx| at
-  // |offset| within that extent. Extents must fill in list order
-  // (kSgExtentOutOfOrder) and ascend within each extent
-  // (kNonAscendingSegment).
-  void SgWriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, size_t extent_idx,
-                      uint64_t offset, uint64_t length, int64_t now_ns);
   // A one-sided read entered the QP engine (validated against the MR shadow
   // only; reads race with nothing in this model).
   void ReadPosted(int src_host, int target_host, uint32_t qp_num, uint64_t wr_id,
@@ -251,24 +247,22 @@ class RdmaCheck {
     uint64_t length = 0;
     int64_t deregistered_at_ns = 0;
   };
-  struct SgExtentShadow {
+  struct ExtentShadow {
     uint64_t remote_addr = 0;
     uint64_t length = 0;
     uint64_t delivered = 0;  // Ascending prefix landed within this extent.
   };
   struct InflightWrite {
     int dst_host = -1;
-    uint64_t remote_addr = 0;
-    uint64_t length = 0;
+    uint64_t remote_addr = 0;  // extents[0].remote_addr.
+    uint64_t length = 0;       // Summed extent bytes.
     uint32_t rkey = 0;
-    uint64_t delivered = 0;  // Ascending prefix landed so far.
+    uint64_t delivered = 0;  // Summed per-extent delivered prefixes.
     int64_t posted_at_ns = 0;
     bool dead_mr_reported = false;  // One use-after-deregister per WR.
-    // Non-empty for SG-WRs: the per-extent target ranges and delivery
-    // cursors. remote_addr/length then mirror extents[0].remote_addr and the
-    // summed bytes; every range-based scan (races, torn reads, QP teardown)
-    // walks the extents instead.
-    std::vector<SgExtentShadow> extents;
+    // The per-extent target ranges and delivery cursors; every range-based
+    // scan (races, torn reads, explorer footprints) walks them.
+    std::vector<ExtentShadow> extents;
     size_t cursor = 0;  // Extent currently expected to receive segments.
   };
   struct TransferShadow {
@@ -301,9 +295,9 @@ class RdmaCheck {
                    int64_t now_ns);
   // Marks any watched flag bytes covered by [addr, addr+len) as landed.
   void CoverFlags(int dst_host, uint64_t addr, uint64_t len);
-  // Race scan: does [remote_addr, remote_addr+length) on dst_host overlap any
-  // in-flight write (per extent for SG-WRs) from a different (src, qp)?
-  // Emits kRemoteRace for each conflicting WR.
+  // Race scan: does [remote_addr, remote_addr+length) on dst_host overlap an
+  // extent of any in-flight write from a different (src, qp)? Emits
+  // kRemoteRace for each conflicting WR.
   void CheckRaces(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
                   uint64_t remote_addr, uint64_t length, int64_t now_ns);
 
@@ -335,33 +329,14 @@ inline void OnMrRegistered(int host, uint64_t addr, uint64_t length, uint32_t lk
 inline void OnMrDeregistered(int host, uint32_t lkey, uint32_t rkey, int64_t now_ns) {
   if (RdmaCheck* c = RdmaCheck::Current()) c->MrDeregistered(host, lkey, rkey, now_ns);
 }
-inline void OnWritePosted(int src_host, int dst_host, uint32_t qp_num, uint64_t wr_id,
-                          uint64_t remote_addr, uint64_t length, uint32_t rkey,
-                          int64_t now_ns) {
+inline void OnWriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, size_t extent_idx,
+                           uint64_t offset, uint64_t length, int64_t now_ns) {
   if (RdmaCheck* c = RdmaCheck::Current()) {
-    c->WritePosted(src_host, dst_host, qp_num, wr_id, remote_addr, length, rkey, now_ns);
-  }
-}
-inline void OnWriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, uint64_t offset,
-                           uint64_t length, int64_t now_ns) {
-  if (RdmaCheck* c = RdmaCheck::Current()) {
-    c->WriteSegment(src_host, qp_num, wr_id, offset, length, now_ns);
+    c->WriteSegment(src_host, qp_num, wr_id, extent_idx, offset, length, now_ns);
   }
 }
 inline void OnWriteFinished(int src_host, uint32_t qp_num, uint64_t wr_id, int64_t now_ns) {
   if (RdmaCheck* c = RdmaCheck::Current()) c->WriteFinished(src_host, qp_num, wr_id, now_ns);
-}
-inline void OnSgWriteSegment(int src_host, uint32_t qp_num, uint64_t wr_id, size_t extent_idx,
-                             uint64_t offset, uint64_t length, int64_t now_ns) {
-  if (RdmaCheck* c = RdmaCheck::Current()) {
-    c->SgWriteSegment(src_host, qp_num, wr_id, extent_idx, offset, length, now_ns);
-  }
-}
-inline void OnReadPosted(int src_host, int target_host, uint32_t qp_num, uint64_t wr_id,
-                         uint64_t remote_addr, uint64_t length, uint32_t rkey, int64_t now_ns) {
-  if (RdmaCheck* c = RdmaCheck::Current()) {
-    c->ReadPosted(src_host, target_host, qp_num, wr_id, remote_addr, length, rkey, now_ns);
-  }
 }
 inline void OnQpDestroyed(int host, uint32_t qp_num, int64_t now_ns) {
   if (RdmaCheck* c = RdmaCheck::Current()) c->QpDestroyed(host, qp_num, now_ns);

@@ -47,6 +47,19 @@ void CompletionQueue::Push(WorkCompletion wc) {
 
 // ----------------------------------------------------------------- QueuePair
 
+namespace {
+
+// A send-queue dispatch is one stream of pieces {local addr, remote addr,
+// length}: a plain WR is one piece, an SG-WR one piece per extent, and a
+// doorbell chain the concatenated pieces of its WRs.
+size_t NumPieces(const SendWorkRequest& wr) { return wr.sge.empty() ? 1 : wr.sge.size(); }
+
+SgExtent Piece(const SendWorkRequest& wr, size_t i) {
+  return wr.sge.empty() ? SgExtent{wr.local_addr, wr.remote_addr, wr.length} : wr.sge[i];
+}
+
+}  // namespace
+
 Status QueuePair::Connect(QueuePair* peer) {
   if (peer_ != nullptr) {
     return FailedPrecondition("QP already connected");
@@ -70,25 +83,14 @@ Status QueuePair::PostSend(const SendWorkRequest& wr) {
   if (wr.opcode == Opcode::kRecv) {
     return InvalidArgument("RECV must be posted via PostRecv");
   }
-  if (!wr.sge.empty()) {
-    if (wr.opcode != Opcode::kWrite) {
-      return InvalidArgument("scatter/gather WRs support RDMA_WRITE only");
-    }
-    for (const SgExtent& e : wr.sge) {
-      if (e.length == 0) return InvalidArgument("zero-length extent in SG list");
-      if (nic_->FindLocalRegion(wr.lkey, e.local_addr, e.length) == nullptr) {
-        return InvalidArgument(StrCat("SG extent not registered: lkey=", wr.lkey, " addr=",
-                                      e.local_addr, " len=", e.length));
-      }
-    }
-  } else if (nic_->FindLocalRegion(wr.lkey, wr.local_addr, wr.length) == nullptr) {
-    return InvalidArgument(StrCat("local buffer not registered: lkey=", wr.lkey, " addr=",
-                                  wr.local_addr, " len=", wr.length));
+  if (!wr.sge.empty() && wr.opcode != Opcode::kWrite) {
+    return InvalidArgument("scatter/gather WRs support RDMA_WRITE only");
   }
+  RDMADL_RETURN_IF_ERROR(CheckLocalPieces(wr));
   if (state_ == QpState::kError) {
     // Real RC QPs accept posts in the error state and complete them with a
     // flush error; callers learn of the failure from the CQ, never silently.
-    FlushPostedSend(wr);
+    PushAfterPoll(send_cq_, FlushCompletion(wr.wr_id, wr.opcode));
     return OkStatus();
   }
   send_queue_.push_back(Batch{wr});
@@ -113,17 +115,30 @@ Status QueuePair::PostSendBatch(std::vector<SendWorkRequest> wrs) {
     if (wr.length == 0) {
       return InvalidArgument("zero-length WR in batch");
     }
-    if (nic_->FindLocalRegion(wr.lkey, wr.local_addr, wr.length) == nullptr) {
-      return InvalidArgument(StrCat("local buffer not registered: lkey=", wr.lkey, " addr=",
-                                    wr.local_addr, " len=", wr.length));
-    }
+    RDMADL_RETURN_IF_ERROR(CheckLocalPieces(wr));
   }
   if (state_ == QpState::kError) {
-    for (const SendWorkRequest& wr : wrs) FlushPostedSend(wr);
+    for (const SendWorkRequest& wr : wrs) {
+      PushAfterPoll(send_cq_, FlushCompletion(wr.wr_id, wr.opcode));
+    }
     return OkStatus();
   }
   send_queue_.push_back(std::move(wrs));
   MaybeStartNext();
+  return OkStatus();
+}
+
+Status QueuePair::CheckLocalPieces(const SendWorkRequest& wr) const {
+  for (size_t i = 0; i < NumPieces(wr); ++i) {
+    const SgExtent piece = Piece(wr, i);
+    if (!wr.sge.empty() && piece.length == 0) {
+      return InvalidArgument("zero-length extent in SG list");
+    }
+    if (nic_->FindLocalRegion(wr.lkey, piece.local_addr, piece.length) == nullptr) {
+      return InvalidArgument(StrCat("local buffer not registered: lkey=", wr.lkey, " addr=",
+                                    piece.local_addr, " len=", piece.length));
+    }
+  }
   return OkStatus();
 }
 
@@ -132,7 +147,7 @@ Status QueuePair::PostRecv(const RecvWorkRequest& wr) {
     return InvalidArgument("recv buffer not registered");
   }
   if (state_ == QpState::kError) {
-    FlushPostedRecv(wr);
+    PushAfterPoll(recv_cq_, FlushCompletion(wr.wr_id, Opcode::kRecv));
     return OkStatus();
   }
   recv_queue_.push_back(wr);
@@ -168,15 +183,154 @@ void QueuePair::MaybeStartNext() {
 }
 
 void QueuePair::ExecuteCurrent() {
-  if (current_.size() == 1) {
-    if (!current_.front().sge.empty()) {
-      ExecuteSg();
-    } else {
-      Execute(current_.front());
+  const SendWorkRequest& head = current_.front();
+  NicDevice* target_nic = peer_->nic_;
+  const int host = nic_->host_id();
+  const int64_t now = nic_->simulator()->Now();
+  uint64_t total = 0;
+  if (head.opcode != Opcode::kSend) {
+    if (check::RdmaCheck* c = check::RdmaCheck::Current()) {
+      // Built only while a checker is installed: the disabled path stays
+      // allocation-free.
+      std::vector<check::SgExtentInfo> extents;
+      for (const SendWorkRequest& wr : current_) {
+        if (wr.opcode == Opcode::kRead) {
+          c->ReadPosted(host, target_nic->host_id(), qp_num_, wr.wr_id, wr.remote_addr,
+                        wr.length, wr.rkey, now);
+          continue;
+        }
+        extents.clear();
+        for (size_t i = 0; i < NumPieces(wr); ++i) {
+          const SgExtent piece = Piece(wr, i);
+          extents.push_back(check::SgExtentInfo{piece.remote_addr, piece.length});
+        }
+        c->WritePosted(host, target_nic->host_id(), qp_num_, wr.wr_id, extents, wr.rkey, now,
+                       /*sg_list=*/!wr.sge.empty());
+      }
     }
-  } else {
-    ExecuteBatch();
+    // The pieces share fate like one WQE list: validate every target before
+    // any byte moves, and fail every WR on the first violation.
+    for (const SendWorkRequest& wr : current_) {
+      for (size_t i = 0; i < NumPieces(wr); ++i) {
+        const SgExtent piece = Piece(wr, i);
+        if (target_nic->FindRemoteRegion(wr.rkey, piece.remote_addr, piece.length) == nullptr) {
+          ++target_nic->stats_.rkey_violations;
+          WritesFinished();
+          Finish(InvalidArgument(StrCat("remote access violation (", OpcodeName(wr.opcode),
+                                        "): rkey=", wr.rkey, " addr=", piece.remote_addr,
+                                        " len=", piece.length)));
+          return;
+        }
+        total += piece.length;
+      }
+    }
   }
+  // Traffic counters are per WR, charged at dispatch: a retransmission
+  // re-sends bytes that were already counted.
+  if (retry_attempts_ == 0) {
+    NicStats& stats = nic_->stats_;
+    for (const SendWorkRequest& wr : current_) {
+      const uint64_t bytes = wr.TotalBytes();
+      if (wr.opcode == Opcode::kRead) {
+        ++stats.reads;
+        stats.read_bytes += bytes;
+      } else if (wr.opcode == Opcode::kSend) {
+        ++stats.sends;
+        stats.send_bytes += bytes;
+      } else {
+        ++stats.writes;  // One WQE, whatever its extent count.
+        stats.write_bytes += bytes;
+        if (!wr.sge.empty()) {
+          ++stats.sg_writes;
+          stats.sg_extents += wr.sge.size();
+        }
+      }
+    }
+    if (current_.size() > 1) ++stats.doorbell_batches;
+  }
+  if (head.opcode == Opcode::kRead) {
+    ExecuteRead();
+    return;
+  }
+  if (head.opcode == Opcode::kSend) {
+    ExecuteSend();
+    return;
+  }
+  // One wire stream carries every piece in posting order. Fabric delivery is
+  // an ascending prefix of the stream, so each piece receives its bytes in
+  // ascending address order: the §3.2 guarantee, per piece. A retry rewrites
+  // the stream from offset 0. Seeded bug (explorer self-validation): under
+  // kRetryKeepsCursor the retry resumes from the cursor instead, which breaks
+  // that guarantee.
+  if (!check::MutationEnabled(check::kRetryKeepsCursor) || retry_attempts_ == 0 ||
+      cursor_.delivered >= total) {
+    cursor_ = Cursor{};
+  }
+  // The WQE-engine ceiling and the DCQCN rate limiter both see the summed
+  // bytes: one doorbell's worth of engine work, one flow of injected payload.
+  const uint64_t bytes = total - cursor_.delivered;
+  nic_->fabric()->Transfer(
+      host, target_nic->host_id(), bytes, net::Plane::kRdma,
+      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(bytes) + DcqcnDelayNs(bytes),
+      [this](uint64_t /*offset*/, uint64_t length) { DeliverSegment(length); },
+      [this](Status status) { CompleteWire(status); },
+      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
+}
+
+void QueuePair::DeliverSegment(uint64_t length) {
+  // Segments are copied for real as they land, so a flag-byte poller on the
+  // target sees partial tensors faithfully.
+  cursor_.delivered += length;
+  while (length > 0) {
+    const SendWorkRequest& wr = current_[cursor_.wr];
+    const SgExtent piece = Piece(wr, cursor_.piece);
+    const uint64_t take = std::min<uint64_t>(length, piece.length - cursor_.offset);
+    check::OnWriteSegment(nic_->host_id(), qp_num_, wr.wr_id, cursor_.piece, cursor_.offset,
+                          take, nic_->simulator()->Now());
+    if (wr.copy_bytes) {
+      std::memcpy(reinterpret_cast<uint8_t*>(piece.remote_addr) + cursor_.offset,
+                  reinterpret_cast<const uint8_t*>(piece.local_addr) + cursor_.offset, take);
+    }
+    length -= take;
+    cursor_.offset += take;
+    if (cursor_.offset == piece.length) {
+      cursor_.offset = 0;
+      if (++cursor_.piece == NumPieces(wr)) {
+        cursor_.piece = 0;
+        ++cursor_.wr;
+      }
+    }
+  }
+}
+
+void QueuePair::ExecuteRead() {
+  const SendWorkRequest& wr = current_.front();
+  // The read request first travels to the target (one-way latency + remote
+  // NIC processing), then the data streams back.
+  const net::CostModel& cost = nic_->cost();
+  const int64_t request_trip = cost.rdma_nic_processing_ns + cost.rdma_one_way_latency_ns +
+                               cost.rdma_nic_processing_ns + EngineDelayNs(wr.length) +
+                               DcqcnDelayNs(wr.length);
+  nic_->fabric()->Transfer(
+      peer_->nic_->host_id(), nic_->host_id(), wr.length, net::Plane::kRdma, request_trip,
+      [this](uint64_t offset, uint64_t length) {
+        const SendWorkRequest& cur = current_.front();
+        if (cur.copy_bytes) {
+          std::memcpy(reinterpret_cast<uint8_t*>(cur.local_addr) + offset,
+                      reinterpret_cast<const uint8_t*>(cur.remote_addr) + offset, length);
+        }
+      },
+      [this](Status status) { CompleteWire(status); },
+      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
+}
+
+void QueuePair::ExecuteSend() {
+  const uint64_t length = current_.front().length;
+  nic_->fabric()->Transfer(
+      nic_->host_id(), peer_->nic_->host_id(), length, net::Plane::kRdma,
+      nic_->cost().rdma_nic_processing_ns + DcqcnDelayNs(length), nullptr,
+      [this](Status status) { CompleteWire(status); },
+      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
 }
 
 int64_t QueuePair::EngineDelayNs(uint64_t bytes) const {
@@ -293,309 +447,82 @@ void QueuePair::DcqcnDecrease() {
   check::OnCongestionSignal(check::RdmaCheck::CongestionSignal::kRateDecrease);
 }
 
-void QueuePair::Execute(const SendWorkRequest& wr) {
-  switch (wr.opcode) {
-    case Opcode::kWrite:
-      ExecuteWrite(wr);
-      return;
-    case Opcode::kRead:
-      ExecuteRead(wr);
-      return;
-    case Opcode::kSend:
-      ExecuteSend(wr);
-      return;
-    case Opcode::kRecv:
-      break;
-  }
-  FinishCurrent(wr, Internal("bad opcode"), 0);
-}
-
-void QueuePair::ExecuteWrite(const SendWorkRequest& wr) {
-  NicDevice* target_nic = peer_->nic_;
-  check::OnWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
-                       wr.remote_addr, wr.length, wr.rkey, nic_->simulator()->Now());
-  const MemoryRegion* target =
-      target_nic->FindRemoteRegion(wr.rkey, wr.remote_addr, wr.length);
-  if (target == nullptr) {
-    ++target_nic->stats_.rkey_violations;
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-    FinishCurrent(wr,
-                  Status(StatusCode::kInvalidArgument,
-                         StrCat("remote access violation: rkey=", wr.rkey, " addr=",
-                                wr.remote_addr, " len=", wr.length)),
-                  0);
-    return;
-  }
-  ++nic_->stats_.writes;
-  nic_->stats_.write_bytes += wr.length;
-  // Seeded bug (explorer self-validation): a retry that resumes from the
-  // delivered cursor instead of rewriting from offset 0 violates the
-  // ascending-delivery contract the flag protocol rests on.
-  uint64_t resume_at = 0;
-  if (check::MutationEnabled(check::kRetryKeepsCursor) && retry_attempts_ > 0 &&
-      mutation_delivered_ < wr.length) {
-    resume_at = mutation_delivered_;
-  }
-  mutation_delivered_ = resume_at;
-  nic_->fabric()->Transfer(
-      nic_->host_id(), target_nic->host_id(), wr.length - resume_at, net::Plane::kRdma,
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(wr.length - resume_at) +
-          DcqcnDelayNs(wr.length - resume_at),
-      // Segments land in ascending address order; each is copied for real so
-      // a flag-byte poller on the target sees partial tensors faithfully.
-      // The WR is read back out of current_ (valid for the wire's lifetime).
-      [this, resume_at](uint64_t offset, uint64_t length) {
-        const SendWorkRequest& cur = current_.front();
-        check::OnWriteSegment(nic_->host_id(), qp_num_, cur.wr_id, resume_at + offset,
-                              length, nic_->simulator()->Now());
-        mutation_delivered_ = resume_at + offset + length;
-        if (cur.copy_bytes) {
-          std::memcpy(reinterpret_cast<uint8_t*>(cur.remote_addr) + resume_at + offset,
-                      reinterpret_cast<const uint8_t*>(cur.local_addr) + resume_at + offset,
-                      length);
-        }
-      },
-      [this](Status status) { CompleteWire(status, /*deliver_inbound=*/false); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::ExecuteRead(const SendWorkRequest& wr) {
-  NicDevice* target_nic = peer_->nic_;
-  check::OnReadPosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
-                      wr.remote_addr, wr.length, wr.rkey, nic_->simulator()->Now());
-  const MemoryRegion* target =
-      target_nic->FindRemoteRegion(wr.rkey, wr.remote_addr, wr.length);
-  if (target == nullptr) {
-    ++target_nic->stats_.rkey_violations;
-    FinishCurrent(wr, InvalidArgument("remote access violation on RDMA read"), 0);
-    return;
-  }
-  ++nic_->stats_.reads;
-  nic_->stats_.read_bytes += wr.length;
-  // The read request first travels to the target (one-way latency + remote
-  // NIC processing), then the data streams back.
-  const int64_t request_trip =
-      nic_->cost().rdma_nic_processing_ns + nic_->cost().rdma_one_way_latency_ns +
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(wr.length) +
-      DcqcnDelayNs(wr.length);
-  nic_->fabric()->Transfer(
-      target_nic->host_id(), nic_->host_id(), wr.length, net::Plane::kRdma, request_trip,
-      [this](uint64_t offset, uint64_t length) {
-        const SendWorkRequest& cur = current_.front();
-        if (cur.copy_bytes) {
-          std::memcpy(reinterpret_cast<uint8_t*>(cur.local_addr) + offset,
-                      reinterpret_cast<const uint8_t*>(cur.remote_addr) + offset, length);
-        }
-      },
-      [this](Status status) { CompleteWire(status, /*deliver_inbound=*/false); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::ExecuteSend(const SendWorkRequest& wr) {
-  ++nic_->stats_.sends;
-  nic_->stats_.send_bytes += wr.length;
-  nic_->fabric()->Transfer(nic_->host_id(), peer_->nic_->host_id(), wr.length, net::Plane::kRdma,
-                           nic_->cost().rdma_nic_processing_ns + DcqcnDelayNs(wr.length),
-                           nullptr,
-                           [this](Status status) {
-                             CompleteWire(status, /*deliver_inbound=*/true);
-                           },
-                           [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::CompleteWire(const Status& status, bool deliver_inbound) {
-  const SendWorkRequest& wr = current_.front();
+void QueuePair::CompleteWire(const Status& status) {
   if (status.ok()) {
     retry_attempts_ = 0;
-    if (wr.opcode == Opcode::kWrite) {
-      // The completion-ordering happens-before edge: the write's bytes have
-      // all landed, anything posted from here on is ordered behind it.
-      check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
+    // The completion-ordering happens-before edge: the writes' bytes have
+    // all landed, anything posted from here on is ordered behind them.
+    WritesFinished();
+    const SendWorkRequest& head = current_.front();
+    if (head.opcode == Opcode::kSend && peer_ != nullptr) {
+      peer_->DeliverInbound(reinterpret_cast<const uint8_t*>(head.local_addr), head.length,
+                            head.copy_bytes);
     }
-    if (deliver_inbound && peer_ != nullptr) {
-      peer_->DeliverInbound(reinterpret_cast<const uint8_t*>(wr.local_addr), wr.length,
-                            wr.copy_bytes);
-    }
-    FinishCurrent(wr, OkStatus(), wr.length);
+    Finish(OkStatus());
     return;
   }
   // Transport failure (lost segment, dead host): the RC transport retransmits
-  // the work request with capped exponential backoff, transparently to the
-  // consumer. Under DCQCN the loss doubles as a congestion signal — the RP
-  // cuts its rate like on a CNP, so retransmissions into a hot queue arrive
-  // paced instead of re-synchronized.
+  // the whole stream with capped exponential backoff, transparently to the
+  // consumer, on one retry budget. Under DCQCN the loss doubles as a
+  // congestion signal — the RP cuts its rate like on a CNP, so
+  // retransmissions into a hot queue arrive paced instead of re-synchronized.
   if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
     const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
     ++retry_attempts_;
     ++nic_->stats_.retransmissions;
     if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();
-    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                      StrCat("retransmit qp", qp_num_, " wr", wr.wr_id, " attempt ",
-                             retry_attempts_),
-                      nic_->simulator()->Now());
-    nic_->simulator()->ScheduleAfter(backoff, [this]() { Execute(current_.front()); });
+    if (sim::Tracer::Current() != nullptr) {
+      sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
+                        StrCat("retransmit qp", qp_num_, " wr", current_.front().wr_id,
+                               " attempt ", retry_attempts_),
+                        nic_->simulator()->Now());
+    }
+    nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteCurrent(); });
     return;
   }
-  // Retry budget exhausted: the QP moves to the error state. The failing WR
-  // completes with the transport error; everything queued flushes after it.
-  if (wr.opcode == Opcode::kWrite) {
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-  }
+  // Retry budget exhausted: the QP moves to the error state. The failing WRs
+  // complete with the transport error; everything queued flushes after them.
+  WritesFinished();
   retry_attempts_ = 0;
   state_ = QpState::kError;
   error_cause_ = Unavailable(StrCat("transport retry limit (",
                                     nic_->cost().rdma_transport_retry_count,
                                     ") exhausted: ", status.message()))
                      .WithContextFrom(status);
-  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                    StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
-                    nic_->simulator()->Now());
-  FinishCurrent(wr, error_cause_, 0);
+  if (sim::Tracer::Current() != nullptr) {
+    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
+                      StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
+                      nic_->simulator()->Now());
+  }
+  Finish(error_cause_);
 }
 
-void QueuePair::FinishCurrent(const SendWorkRequest& wr, Status status, uint64_t bytes) {
-  pending_wc_.wr_id = wr.wr_id;
-  pending_wc_.opcode = wr.opcode;
-  pending_wc_.status = std::move(status);
-  pending_wc_.byte_len = bytes;
-  pending_wc_.qp_num = qp_num_;
-  // CQE generation + poller pickup overhead, then release the engine. The
-  // completion is staged in pending_wc_ (one per QP suffices: the engine
-  // serializes, and flush completions for posts-while-errored use their own
-  // captured copies) so the closure fits the inline buffer.
-  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this]() {
-    engine_busy_ = false;
-    send_cq_->Push(pending_wc_);
-    if (state_ == QpState::kError) {
-      FlushQueues();
-      return;
-    }
-    MaybeStartNext();
-  });
-}
-
-void QueuePair::ExecuteBatch() {
-  NicDevice* target_nic = peer_->nic_;
+void QueuePair::WritesFinished() {
   const int64_t now = nic_->simulator()->Now();
   for (const SendWorkRequest& wr : current_) {
-    check::OnWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id,
-                         wr.remote_addr, wr.length, wr.rkey, now);
-  }
-  // A chained WQE list shares fate: validate every target before any byte
-  // moves, and fail the whole batch on the first violation.
-  uint64_t total = 0;
-  for (const SendWorkRequest& wr : current_) {
-    const MemoryRegion* target =
-        target_nic->FindRemoteRegion(wr.rkey, wr.remote_addr, wr.length);
-    if (target == nullptr) {
-      ++target_nic->stats_.rkey_violations;
-      for (const SendWorkRequest& w : current_) {
-        check::OnWriteFinished(nic_->host_id(), qp_num_, w.wr_id, now);
-      }
-      FinishBatch(Status(StatusCode::kInvalidArgument,
-                         StrCat("remote access violation in WR batch: rkey=", wr.rkey,
-                                " addr=", wr.remote_addr, " len=", wr.length)),
-                  /*ok=*/false);
-      return;
-    }
-    total += wr.length;
-  }
-  nic_->stats_.writes += current_.size();
-  nic_->stats_.write_bytes += total;
-  ++nic_->stats_.doorbell_batches;
-  // One wire stream carries the concatenated payloads in posting order;
-  // segments are scattered back to the sub-WRs by a cursor walk (member
-  // fields, reset here so a transport retransmission restarts the scatter).
-  // Fabric delivery is ascending in stream offset, so each sub-WR still
-  // receives its bytes in ascending address order (the §3.2 guarantee,
-  // per WR).
-  batch_cursor_idx_ = 0;
-  batch_cursor_base_ = 0;
-  nic_->fabric()->Transfer(
-      nic_->host_id(), target_nic->host_id(), total, net::Plane::kRdma,
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(total) + DcqcnDelayNs(total),
-      [this](uint64_t offset, uint64_t length) {
-        while (length > 0) {
-          const SendWorkRequest& wr = current_[batch_cursor_idx_];
-          const uint64_t rel = offset - batch_cursor_base_;
-          const uint64_t take = std::min<uint64_t>(length, wr.length - rel);
-          check::OnWriteSegment(nic_->host_id(), qp_num_, wr.wr_id, rel, take,
-                                nic_->simulator()->Now());
-          if (wr.copy_bytes) {
-            std::memcpy(reinterpret_cast<uint8_t*>(wr.remote_addr) + rel,
-                        reinterpret_cast<const uint8_t*>(wr.local_addr) + rel, take);
-          }
-          offset += take;
-          length -= take;
-          if (rel + take == wr.length) {
-            batch_cursor_base_ += wr.length;
-            ++batch_cursor_idx_;
-          }
-        }
-      },
-      [this](Status status) { CompleteBatchWire(status); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::CompleteBatchWire(const Status& status) {
-  if (status.ok()) {
-    retry_attempts_ = 0;
-    const int64_t now = nic_->simulator()->Now();
-    for (const SendWorkRequest& wr : current_) {
+    if (wr.opcode == Opcode::kWrite) {
       check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, now);
     }
-    FinishBatch(OkStatus(), /*ok=*/true);
-    return;
   }
-  // The RC transport retransmits the whole chain with capped exponential
-  // backoff, mirroring the single-WR path (including the DCQCN
-  // loss-as-congestion-signal decrease).
-  if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
-    const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
-    ++retry_attempts_;
-    ++nic_->stats_.retransmissions;
-    if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();
-    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                      StrCat("retransmit qp", qp_num_, " batch of ", current_.size(),
-                             " attempt ", retry_attempts_),
-                      nic_->simulator()->Now());
-    nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteBatch(); });
-    return;
-  }
-  const int64_t now = nic_->simulator()->Now();
-  for (const SendWorkRequest& wr : current_) {
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, now);
-  }
-  retry_attempts_ = 0;
-  state_ = QpState::kError;
-  error_cause_ = Unavailable(StrCat("transport retry limit (",
-                                    nic_->cost().rdma_transport_retry_count,
-                                    ") exhausted: ", status.message()))
-                     .WithContextFrom(status);
-  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                    StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
-                    nic_->simulator()->Now());
-  FinishBatch(error_cause_, /*ok=*/false);
 }
 
-void QueuePair::FinishBatch(Status status, bool ok) {
+void QueuePair::Finish(Status status) {
   pending_status_ = std::move(status);
-  pending_ok_ = ok;
-  // The chain's CQEs are generated together and picked up by one poller pass:
-  // one cq_poll overhead for the batch, then per-WR completions in FIFO order.
+  // The WQE list's CQEs are generated together and picked up by one poller
+  // pass: one cq_poll overhead, then per-WR completions in FIFO order.
   nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this]() {
     engine_busy_ = false;
-    // Move the chain out first: a CQ handler may post new work from inside
+    // Move the list out first: a CQ handler may post new work from inside
     // Push, which would overwrite current_ mid-iteration.
-    Batch batch = std::move(current_);
+    const Batch batch = std::move(current_);
     for (const SendWorkRequest& wr : batch) {
       WorkCompletion wc;
       wc.wr_id = wr.wr_id;
       wc.opcode = wr.opcode;
       wc.status = pending_status_;
-      wc.byte_len = pending_ok_ ? wr.length : 0;
+      wc.byte_len = pending_status_.ok() ? wr.TotalBytes() : 0;
       wc.qp_num = qp_num_;
-      send_cq_->Push(wc);
+      send_cq_->Push(std::move(wc));
     }
     if (state_ == QpState::kError) {
       FlushQueues();
@@ -603,116 +530,6 @@ void QueuePair::FinishBatch(Status status, bool ok) {
     }
     MaybeStartNext();
   });
-}
-
-void QueuePair::ExecuteSg() {
-  const SendWorkRequest& wr = current_.front();
-  NicDevice* target_nic = peer_->nic_;
-  const int64_t now = nic_->simulator()->Now();
-  if (check::RdmaCheck* c = check::RdmaCheck::Current()) {
-    // Built only while a checker is installed: the disabled path stays
-    // allocation-free.
-    std::vector<check::SgExtentInfo> extents;
-    extents.reserve(wr.sge.size());
-    for (const SgExtent& e : wr.sge) {
-      extents.push_back(check::SgExtentInfo{e.remote_addr, e.length});
-    }
-    c->SgWritePosted(nic_->host_id(), target_nic->host_id(), qp_num_, wr.wr_id, extents,
-                     wr.rkey, now);
-  }
-  // The extents share fate like one WQE: validate every target before any
-  // byte moves.
-  uint64_t total = 0;
-  for (const SgExtent& e : wr.sge) {
-    const MemoryRegion* target =
-        target_nic->FindRemoteRegion(wr.rkey, e.remote_addr, e.length);
-    if (target == nullptr) {
-      ++target_nic->stats_.rkey_violations;
-      check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, now);
-      FinishCurrent(wr,
-                    Status(StatusCode::kInvalidArgument,
-                           StrCat("remote access violation in SG list: rkey=", wr.rkey,
-                                  " addr=", e.remote_addr, " len=", e.length)),
-                    0);
-      return;
-    }
-    total += e.length;
-  }
-  ++nic_->stats_.writes;  // One WQE, whatever the extent count.
-  ++nic_->stats_.sg_writes;
-  nic_->stats_.sg_extents += wr.sge.size();
-  nic_->stats_.write_bytes += total;
-  sg_total_bytes_ = total;
-  // One wire stream carries the extents in list order; the scatter back to
-  // per-extent addresses reuses the batch cursor walk (reset here so a
-  // transport retransmission restarts it). Fabric delivery is ascending in
-  // stream offset, so each extent receives its bytes in ascending address
-  // order — the §3.2 guarantee, per extent. The WQE-engine ceiling and the
-  // DCQCN rate limiter both see the summed bytes: one WQE's worth of engine
-  // work, one flow's worth of injected payload.
-  batch_cursor_idx_ = 0;
-  batch_cursor_base_ = 0;
-  nic_->fabric()->Transfer(
-      nic_->host_id(), target_nic->host_id(), total, net::Plane::kRdma,
-      nic_->cost().rdma_nic_processing_ns + EngineDelayNs(total) + DcqcnDelayNs(total),
-      [this](uint64_t offset, uint64_t length) {
-        const SendWorkRequest& cur = current_.front();
-        while (length > 0) {
-          const SgExtent& ext = cur.sge[batch_cursor_idx_];
-          const uint64_t rel = offset - batch_cursor_base_;
-          const uint64_t take = std::min<uint64_t>(length, ext.length - rel);
-          check::OnSgWriteSegment(nic_->host_id(), qp_num_, cur.wr_id, batch_cursor_idx_,
-                                  rel, take, nic_->simulator()->Now());
-          if (cur.copy_bytes) {
-            std::memcpy(reinterpret_cast<uint8_t*>(ext.remote_addr) + rel,
-                        reinterpret_cast<const uint8_t*>(ext.local_addr) + rel, take);
-          }
-          offset += take;
-          length -= take;
-          if (rel + take == ext.length) {
-            batch_cursor_base_ += ext.length;
-            ++batch_cursor_idx_;
-          }
-        }
-      },
-      [this](Status status) { CompleteSgWire(status); },
-      [this](int64_t deliver_ns) { OnEcnFeedback(deliver_ns); });
-}
-
-void QueuePair::CompleteSgWire(const Status& status) {
-  const SendWorkRequest& wr = current_.front();
-  if (status.ok()) {
-    retry_attempts_ = 0;
-    check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-    FinishCurrent(wr, OkStatus(), sg_total_bytes_);
-    return;
-  }
-  // One transport-retry budget for the whole WQE; the retransmission restarts
-  // every extent from offset 0 (ExecuteSg resets the cursor walk and the
-  // checker's re-post resets the per-extent delivered prefixes).
-  if (retry_attempts_ < nic_->cost().rdma_transport_retry_count) {
-    const int64_t backoff = TransportBackoffNs(nic_->cost(), retry_attempts_);
-    ++retry_attempts_;
-    ++nic_->stats_.retransmissions;
-    if (nic_->fabric()->congestion().dcqcn) DcqcnDecrease();
-    sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                      StrCat("retransmit qp", qp_num_, " sg-wr", wr.wr_id, " of ",
-                             wr.sge.size(), " extents attempt ", retry_attempts_),
-                      nic_->simulator()->Now());
-    nic_->simulator()->ScheduleAfter(backoff, [this]() { ExecuteSg(); });
-    return;
-  }
-  check::OnWriteFinished(nic_->host_id(), qp_num_, wr.wr_id, nic_->simulator()->Now());
-  retry_attempts_ = 0;
-  state_ = QpState::kError;
-  error_cause_ = Unavailable(StrCat("transport retry limit (",
-                                    nic_->cost().rdma_transport_retry_count,
-                                    ") exhausted: ", status.message()))
-                     .WithContextFrom(status);
-  sim::TraceInstant(StrCat("host", nic_->host_id(), ".nic"),
-                    StrCat("qp", qp_num_, " -> ERROR: ", status.message()),
-                    nic_->simulator()->Now());
-  FinishCurrent(wr, error_cause_, 0);
 }
 
 void QueuePair::FlushQueues() {
@@ -720,54 +537,30 @@ void QueuePair::FlushQueues() {
   while (!send_queue_.empty()) {
     Batch batch = std::move(send_queue_.front());
     send_queue_.pop_front();
-    for (const SendWorkRequest& wr : batch) {
-      ++nic_->stats_.flushed_wrs;
-      WorkCompletion wc;
-      wc.wr_id = wr.wr_id;
-      wc.opcode = wr.opcode;
-      wc.status = Aborted("WR flushed: QP in error state");
-      wc.qp_num = qp_num_;
-      send_cq_->Push(wc);
-    }
+    for (const SendWorkRequest& wr : batch) send_cq_->Push(FlushCompletion(wr.wr_id, wr.opcode));
   }
   while (!recv_queue_.empty()) {
-    RecvWorkRequest wr = recv_queue_.front();
+    const uint64_t wr_id = recv_queue_.front().wr_id;
     recv_queue_.pop_front();
-    ++nic_->stats_.flushed_wrs;
-    WorkCompletion wc;
-    wc.wr_id = wr.wr_id;
-    wc.opcode = Opcode::kRecv;
-    wc.status = Aborted("WR flushed: QP in error state");
-    wc.qp_num = qp_num_;
-    recv_cq_->Push(wc);
+    recv_cq_->Push(FlushCompletion(wr_id, Opcode::kRecv));
   }
 }
 
-void QueuePair::FlushPostedSend(const SendWorkRequest& wr) {
+WorkCompletion QueuePair::FlushCompletion(uint64_t wr_id, Opcode opcode) {
   ++nic_->stats_.flushed_wrs;
   WorkCompletion wc;
-  wc.wr_id = wr.wr_id;
-  wc.opcode = wr.opcode;
+  wc.wr_id = wr_id;
+  wc.opcode = opcode;
   wc.status = Aborted("WR flushed: QP in error state");
   wc.qp_num = qp_num_;
-  ++pending_events_;
-  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, wc]() {
-    --pending_events_;
-    send_cq_->Push(wc);
-  });
+  return wc;
 }
 
-void QueuePair::FlushPostedRecv(const RecvWorkRequest& wr) {
-  ++nic_->stats_.flushed_wrs;
-  WorkCompletion wc;
-  wc.wr_id = wr.wr_id;
-  wc.opcode = Opcode::kRecv;
-  wc.status = Aborted("WR flushed: QP in error state");
-  wc.qp_num = qp_num_;
+void QueuePair::PushAfterPoll(CompletionQueue* cq, WorkCompletion wc) {
   ++pending_events_;
-  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, wc]() {
+  nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, cq, wc]() {
     --pending_events_;
-    recv_cq_->Push(wc);
+    cq->Push(wc);
   });
 }
 
@@ -802,11 +595,7 @@ void QueuePair::MatchInbound() {
       wc.status = OkStatus();
       wc.byte_len = msg.length;
     }
-    ++pending_events_;
-    nic_->simulator()->ScheduleAfter(nic_->cost().cq_poll_overhead_ns, [this, wc]() {
-      --pending_events_;
-      recv_cq_->Push(wc);
-    });
+    PushAfterPoll(recv_cq_, wc);
   }
 }
 

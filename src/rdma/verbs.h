@@ -95,9 +95,10 @@ struct SendWorkRequest {
   bool copy_bytes = true;
   // Scatter/gather list (kWrite only). When non-empty, local_addr /
   // remote_addr / length above are ignored: the WR moves every extent — all
-  // under the single lkey/rkey pair — as ONE work request. The extents share
-  // one doorbell, one NIC processing pass, one WQE-engine charge for the
-  // summed bytes, one wire stream (delivered extent-by-extent in list order,
+  // under the single lkey/rkey pair — as ONE work request. The QP executes it
+  // like any write, as a stream of pieces, here one piece per extent: one
+  // doorbell, one NIC processing pass, one WQE-engine charge for the summed
+  // bytes, one wire stream (delivered extent-by-extent in list order,
   // ascending addresses within each extent), one transport-retry budget, and
   // ONE completion. Extents may target arbitrary, even descending, remote
   // addresses relative to each other; only the intra-extent order is
@@ -165,12 +166,20 @@ enum class QpState { kReady, kError };
 
 // Reliable-connected queue pair.
 //
+// Execution: each doorbell dispatches one batch from the send queue — a
+// single WR, an SG-WR, or a doorbell chain — and the engine runs it as one
+// stream of pieces {local addr, remote addr, length}. A plain WR is one
+// piece, an SG-WR one piece per extent, and a chain the concatenated pieces
+// of its WRs. One executor validates every piece's target before any byte
+// moves, one fabric transfer carries the stream, one retry path restarts it
+// from offset 0, and one completion fan-out pushes a CQE per WR.
+//
 // Transport reliability: a wire-level segment loss (fault injection) is
 // retransmitted transparently with exponential backoff up to
 // cost.rdma_transport_retry_count attempts, like the RC retry_cnt machinery.
-// Exhaustion transitions the QP to the error state: the failing WR completes
+// Exhaustion transitions the QP to the error state: the failing WRs complete
 // with kUnavailable, every queued send/recv WR is flushed with a kAborted
-// completion (in FIFO order, after the failing one), and later posts are
+// completion (in FIFO order, after the failing ones), and later posts are
 // accepted but immediately flush-completed — never silently dropped.
 // Recover() returns an errored QP to service (the simulation's stand-in for
 // tearing down and reconnecting the QP).
@@ -189,7 +198,7 @@ class QueuePair {
   // Posts a doorbell-chained batch of RDMA_WRITE WRs: one post overhead and
   // one NIC processing pass for the whole chain (the WQEs are linked and rung
   // with a single doorbell), one wire stream carrying the concatenated
-  // payloads in posting order, then one CQE per WR pushed in FIFO order. This
+  // pieces in posting order, then one CQE per WR pushed in FIFO order. This
   // is the verbs-level mechanism behind small-tensor coalescing: the
   // per-message CPU overhead of the cost model is paid once per batch.
   // Entries must be kWrite with length > 0. The chain shares fate like a real
@@ -232,28 +241,34 @@ class QueuePair {
   // A doorbell-chained WQE list; singles are batches of one.
   using Batch = std::vector<SendWorkRequest>;
 
+  // Where the write stream's scatter walk stands: |offset| bytes into piece
+  // |piece| of WR |wr| of current_, |delivered| bytes into the whole stream.
+  struct Cursor {
+    size_t wr = 0;
+    size_t piece = 0;
+    uint64_t offset = 0;
+    uint64_t delivered = 0;
+  };
+
+  // The per-WR local-key check PostSend and PostSendBatch share: every local
+  // piece must lie inside a registration under the WR's lkey.
+  Status CheckLocalPieces(const SendWorkRequest& wr) const;
   // Starts the next queued send batch if the engine is idle. The in-flight
   // batch lives in |current_| (guarded by engine_busy_: exactly one per QP),
   // so every hot-path closure below captures only `this` — 8 trivially-
   // copyable bytes, inside std::function's inline buffer. Posting, executing,
   // retrying and completing a WR therefore allocates nothing per event.
   void MaybeStartNext();
-  // Dispatches |current_| after the post overhead: singles via Execute, WQE
-  // chains via ExecuteBatch.
+  // Executes |current_| as one stream of pieces, on the first attempt and on
+  // every transport retry: checker post hooks, then every piece's remote
+  // target is validated (the WQE list shares fate), then one fabric transfer
+  // carries the concatenated pieces and DeliverSegment scatters it back.
+  // Reads and sends branch off to their opcode bodies after validation.
   void ExecuteCurrent();
-  void Execute(const SendWorkRequest& wr);
-  void ExecuteWrite(const SendWorkRequest& wr);
-  void ExecuteRead(const SendWorkRequest& wr);
-  void ExecuteSend(const SendWorkRequest& wr);
-  // Batch counterparts of ExecuteWrite/CompleteWire/FinishCurrent; all
-  // operate on |current_| and the batch cursor members.
-  void ExecuteBatch();
-  void CompleteBatchWire(const Status& status);
-  void FinishBatch(Status status, bool ok);
-  // Scatter/gather counterparts: one WQE whose extents share one wire stream
-  // (scattered back per extent by the batch cursor members) and one CQE.
-  void ExecuteSg();
-  void CompleteSgWire(const Status& status);
+  void ExecuteRead();
+  void ExecuteSend();
+  // Lands the next |length| bytes of the write stream at the cursor.
+  void DeliverSegment(uint64_t length);
   // Extra initiation delay modeling the per-QP WQE-engine throughput ceiling
   // (cost.rdma_qp_engine_bytes_per_sec); 0 when the ceiling is disabled.
   int64_t EngineDelayNs(uint64_t bytes) const;
@@ -276,17 +291,22 @@ class QueuePair {
   // is detected under DCQCN: a RoCE RP treats a timeout like severe
   // congestion, which is what de-synchronizes an incast's retry storms.
   void DcqcnDecrease();
-  void FinishCurrent(const SendWorkRequest& wr, Status status, uint64_t bytes);
-  // Wire completion for the in-flight WR (current_.front()): success finishes
-  // it, a transport failure retries with backoff or errors the QP. When
-  // |deliver_inbound| is set (SEND), the payload is handed to the peer's
-  // receive matching before the completion.
-  void CompleteWire(const Status& status, bool deliver_inbound);
+  // Wire completion for |current_|: success finishes it (handing a SEND's
+  // payload to the peer's receive matching first), a transport failure
+  // retries the whole stream with backoff or errors the QP.
+  void CompleteWire(const Status& status);
+  // Tells RdmaCheck that every write in |current_| has ended.
+  void WritesFinished();
+  // Releases the engine after one cq_poll overhead, pushing one CQE per WR of
+  // |current_| in FIFO order (byte_len = the WR's TotalBytes() on success).
+  void Finish(Status status);
   // Flushes all queued WRs with kAborted completions (the QP is in kError).
   void FlushQueues();
-  // Schedules an immediate flush completion for a WR posted while errored.
-  void FlushPostedSend(const SendWorkRequest& wr);
-  void FlushPostedRecv(const RecvWorkRequest& wr);
+  // A kAborted flush completion for one WR, counted in flushed_wrs.
+  WorkCompletion FlushCompletion(uint64_t wr_id, Opcode opcode);
+  // Pushes |wc| to |cq| one cq_poll overhead from now, outside the engine's
+  // busy window (flushes of posts to an errored QP, receive completions).
+  void PushAfterPoll(CompletionQueue* cq, WorkCompletion wc);
 
   // Target side of a SEND: match against posted receives.
   void DeliverInbound(const uint8_t* src, uint64_t length, bool copy_bytes);
@@ -300,10 +320,7 @@ class QueuePair {
 
   QpState state_ = QpState::kReady;
   Status error_cause_;
-  int retry_attempts_ = 0;  // Transport retries consumed by the in-flight WR.
-  // Delivered-byte cursor of the in-flight single write, kept only to feed
-  // the check::kRetryKeepsCursor mutation (resume-from-cursor-on-retry bug).
-  uint64_t mutation_delivered_ = 0;
+  int retry_attempts_ = 0;  // Transport retries consumed by the in-flight batch.
 
   // DCQCN per-QP rate state. Each striped lane is its own QP and so carries
   // its own rate — the striping×CC interaction the benches measure. Rate
@@ -323,13 +340,9 @@ class QueuePair {
   };
   Dcqcn dcqcn_;
   bool engine_busy_ = false;
-  Batch current_;             // In-flight batch; valid while engine_busy_.
-  size_t batch_cursor_idx_ = 0;   // First WR of current_ not fully delivered.
-  uint64_t batch_cursor_base_ = 0;  // Stream offset where that WR starts.
-  uint64_t sg_total_bytes_ = 0;     // Summed extent bytes of an in-flight SG-WR.
-  WorkCompletion pending_wc_;     // Completion being finalized (cq_poll delay).
-  Status pending_status_;         // Batch-wide completion status.
-  bool pending_ok_ = false;
+  Batch current_;           // In-flight batch; valid while engine_busy_.
+  Cursor cursor_;           // Scatter walk of current_'s write stream.
+  Status pending_status_;   // Batch-wide completion status (cq_poll delay).
   // Scheduled events holding `this` outside the engine_busy_ window (flush
   // completions, recv-side CQE pushes); counted so idle() is exact.
   int pending_events_ = 0;
@@ -338,11 +351,14 @@ class QueuePair {
   std::deque<InboundMessage> inbound_;
 };
 
+// Traffic counters count each WR once, when it is dispatched and its
+// targets validate; a transport retransmission re-sends bytes already
+// counted and shows only in |retransmissions|.
 struct NicStats {
-  uint64_t writes = 0;
+  uint64_t writes = 0;             // RDMA_WRITE WRs (an SG-WR counts one).
   uint64_t reads = 0;
   uint64_t sends = 0;
-  uint64_t write_bytes = 0;
+  uint64_t write_bytes = 0;        // Payload bytes of those WRs.
   uint64_t read_bytes = 0;
   uint64_t send_bytes = 0;
   uint64_t registrations = 0;
@@ -354,8 +370,8 @@ struct NicStats {
   uint64_t doorbells = 0;          // Doorbells rung, total: every send-queue
                                    // dispatch (single, chained batch, or SG)
                                    // counts one. The SG-WR payoff metric.
-  uint64_t sg_writes = 0;          // Scatter/gather WQEs executed.
-  uint64_t sg_extents = 0;         // Extents carried by those WQEs.
+  uint64_t sg_writes = 0;          // Scatter/gather WRs dispatched.
+  uint64_t sg_extents = 0;         // Extents carried by those WRs.
   // ---- Congestion control (all zero unless the fabric models congestion) --
   uint64_t ecn_marked_segments = 0;   // Delivered segments of this NIC's
                                       // transfers that carried a CE mark.

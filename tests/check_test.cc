@@ -315,9 +315,10 @@ TEST(RdmaCheckHookTest, NonAscendingSegmentIsDetected) {
 
 TEST(RdmaCheckHookTest, NonAscendingWriteSegmentIsDetected) {
   RdmaCheck checker;
-  checker.WritePosted(0, 1, /*qp_num=*/5, /*wr_id=*/9, /*remote_addr=*/0x1000,
-                      /*length=*/4096, /*rkey=*/77, /*now_ns=*/10);
-  checker.WriteSegment(0, 5, 9, /*offset=*/1024, 1024, 20);  // First segment not at 0.
+  checker.WritePosted(0, 1, /*qp_num=*/5, /*wr_id=*/9, {SgExtentInfo{0x1000, 4096}},
+                      /*rkey=*/77, /*now_ns=*/10);
+  // The first segment does not land at offset 0.
+  checker.WriteSegment(0, 5, 9, /*extent_idx=*/0, /*offset=*/1024, 1024, 20);
   EXPECT_EQ(checker.count(DiagKind::kNonAscendingSegment), 1) << checker.Report();
   checker.WriteFinished(0, 5, 9, 30);
 }
@@ -341,8 +342,9 @@ TEST(RdmaCheckHookTest, FlagReadAfterCoveringSegmentIsClean) {
   uint8_t payload[64] = {0};
   uint8_t* flag = &payload[63];  // Paper layout: flag at the buffer tail.
   checker.FlagLocation(1, flag, "w:grad->ps:0");
-  checker.WritePosted(0, 1, 5, 9, reinterpret_cast<uint64_t>(payload), 64, 77, 10);
-  checker.WriteSegment(0, 5, 9, 0, 64, 20);  // Covers the flag byte.
+  checker.WritePosted(0, 1, 5, 9, {SgExtentInfo{reinterpret_cast<uint64_t>(payload), 64}}, 77,
+                      10);
+  checker.WriteSegment(0, 5, 9, 0, 0, 64, 20);  // Covers the flag byte.
   checker.WriteFinished(0, 5, 9, 30);
   checker.FlagTrusted(1, flag, 40);
   checker.FlagCleared(1, flag);
@@ -355,13 +357,13 @@ TEST(RdmaCheckHookTest, SgExtentFilledOutOfListOrderIsDetected) {
   RdmaCheck checker;
   uint8_t a[1024] = {0};
   uint8_t b[1024] = {0};
-  checker.SgWritePosted(0, 1, /*qp_num=*/5, /*wr_id=*/9,
-                        {SgExtentInfo{reinterpret_cast<uint64_t>(a), 1024},
-                         SgExtentInfo{reinterpret_cast<uint64_t>(b), 1024}},
-                        /*rkey=*/77, /*now_ns=*/10);
+  checker.WritePosted(0, 1, /*qp_num=*/5, /*wr_id=*/9,
+                      {SgExtentInfo{reinterpret_cast<uint64_t>(a), 1024},
+                       SgExtentInfo{reinterpret_cast<uint64_t>(b), 1024}},
+                      /*rkey=*/77, /*now_ns=*/10, /*sg_list=*/true);
   // A segment lands in extent 1 while the list cursor still expects extent 0:
   // the one-wire-stream/list-order contract is broken.
-  checker.SgWriteSegment(0, 5, 9, /*extent_idx=*/1, /*offset=*/0, 512, 20);
+  checker.WriteSegment(0, 5, 9, /*extent_idx=*/1, /*offset=*/0, 512, 20);
   EXPECT_EQ(checker.count(DiagKind::kSgExtentOutOfOrder), 1) << checker.Report();
   checker.WriteFinished(0, 5, 9, 30);
 }
@@ -370,13 +372,13 @@ TEST(RdmaCheckHookTest, SgExtentsFilledInListOrderAreClean) {
   RdmaCheck checker;
   uint8_t a[1024] = {0};
   uint8_t b[1024] = {0};
-  checker.SgWritePosted(0, 1, 5, 9,
-                        {SgExtentInfo{reinterpret_cast<uint64_t>(a), 1024},
-                         SgExtentInfo{reinterpret_cast<uint64_t>(b), 1024}},
-                        77, 10);
-  checker.SgWriteSegment(0, 5, 9, 0, 0, 512, 20);
-  checker.SgWriteSegment(0, 5, 9, 0, 512, 512, 25);
-  checker.SgWriteSegment(0, 5, 9, 1, 0, 1024, 30);
+  checker.WritePosted(0, 1, 5, 9,
+                      {SgExtentInfo{reinterpret_cast<uint64_t>(a), 1024},
+                       SgExtentInfo{reinterpret_cast<uint64_t>(b), 1024}},
+                      77, 10, /*sg_list=*/true);
+  checker.WriteSegment(0, 5, 9, 0, 0, 512, 20);
+  checker.WriteSegment(0, 5, 9, 0, 512, 512, 25);
+  checker.WriteSegment(0, 5, 9, 1, 0, 1024, 30);
   checker.WriteFinished(0, 5, 9, 40);
   EXPECT_EQ(checker.diagnostics().size(), 0u) << checker.Report();
 }
@@ -389,14 +391,27 @@ TEST(RdmaCheckHookTest, FlagRidingInsideSgListIsDetected) {
   // lands after it, so a receiver polling the flag can trust a payload whose
   // second extent does not exist yet.
   checker.FlagLocation(1, &a[63], "w:grad->ps:0");
-  checker.SgWritePosted(0, 1, /*qp_num=*/5, /*wr_id=*/9,
-                        {SgExtentInfo{reinterpret_cast<uint64_t>(a), 64},
-                         SgExtentInfo{reinterpret_cast<uint64_t>(b), 64}},
-                        /*rkey=*/77, /*now_ns=*/10);
+  checker.WritePosted(0, 1, /*qp_num=*/5, /*wr_id=*/9,
+                      {SgExtentInfo{reinterpret_cast<uint64_t>(a), 64},
+                       SgExtentInfo{reinterpret_cast<uint64_t>(b), 64}},
+                      /*rkey=*/77, /*now_ns=*/10, /*sg_list=*/true);
   const auto& diags = checker.diagnostics();
   ASSERT_EQ(checker.count(DiagKind::kFlagInSgList), 1) << checker.Report();
   EXPECT_NE(diags[0].message.find("w:grad->ps:0"), std::string::npos);
   checker.WriteFinished(0, 5, 9, 30);
+}
+
+TEST(RdmaCheckHookTest, FlagCoveredByPlainWriteIsNotAnSgListViolation) {
+  RdmaCheck checker;
+  uint8_t payload[64] = {0};
+  // A plain write has one extent that lands in ascending order, so a flag
+  // inside it is no SG-list hazard; only WRs posted with an SG list qualify.
+  checker.FlagLocation(1, &payload[10], "w:grad->ps:0");
+  checker.WritePosted(0, 1, 5, 9, {SgExtentInfo{reinterpret_cast<uint64_t>(payload), 64}}, 77,
+                      10);
+  checker.WriteSegment(0, 5, 9, 0, 0, 64, 20);
+  checker.WriteFinished(0, 5, 9, 30);
+  EXPECT_EQ(checker.count(DiagKind::kFlagInSgList), 0) << checker.Report();
 }
 
 TEST(RdmaCheckHookTest, FlagAsFinalByteOfFinalSgExtentIsClean) {
@@ -406,12 +421,12 @@ TEST(RdmaCheckHookTest, FlagAsFinalByteOfFinalSgExtentIsClean) {
   // Paper layout lifted to SG: the flag is the last byte the wire delivers —
   // the final byte of the final extent — so §3.2 holds for every extent.
   checker.FlagLocation(1, &b[63], "w:grad->ps:0");
-  checker.SgWritePosted(0, 1, 5, 9,
-                        {SgExtentInfo{reinterpret_cast<uint64_t>(a), 64},
-                         SgExtentInfo{reinterpret_cast<uint64_t>(b), 64}},
-                        77, 10);
-  checker.SgWriteSegment(0, 5, 9, 0, 0, 64, 20);
-  checker.SgWriteSegment(0, 5, 9, 1, 0, 64, 25);
+  checker.WritePosted(0, 1, 5, 9,
+                      {SgExtentInfo{reinterpret_cast<uint64_t>(a), 64},
+                       SgExtentInfo{reinterpret_cast<uint64_t>(b), 64}},
+                      77, 10, /*sg_list=*/true);
+  checker.WriteSegment(0, 5, 9, 0, 0, 64, 20);
+  checker.WriteSegment(0, 5, 9, 1, 0, 64, 25);
   checker.WriteFinished(0, 5, 9, 30);
   checker.FlagTrusted(1, &b[63], 40);
   EXPECT_EQ(checker.diagnostics().size(), 0u) << checker.Report();
@@ -454,8 +469,9 @@ TEST(RdmaCheckHookTest, ForgottenFlagIsNoLongerTracked) {
   uint8_t payload[32] = {0};
   uint8_t* flag = &payload[31];
   checker.FlagLocation(4, flag, "allreduce h-ring r0 f7");
-  checker.WritePosted(1, 4, 6, 11, reinterpret_cast<uint64_t>(payload), 32, 88, 10);
-  checker.WriteSegment(1, 6, 11, 0, 32, 20);
+  checker.WritePosted(1, 4, 6, 11, {SgExtentInfo{reinterpret_cast<uint64_t>(payload), 32}}, 88,
+                      10);
+  checker.WriteSegment(1, 6, 11, 0, 0, 32, 20);
   checker.WriteFinished(1, 6, 11, 30);
   checker.FlagTrusted(4, flag, 40);
   EXPECT_EQ(checker.diagnostics().size(), 0u) << checker.Report();
@@ -472,10 +488,10 @@ TEST(RdmaCheckHookTest, OverlappingTreeSlotWritesAreARemoteRace) {
   // slot concurrently — the bug class a double-booked hierarchical slot
   // layout would produce. Different source QPs, overlapping target range,
   // both in flight: no happens-before edge.
-  checker.WritePosted(5, 4, /*qp_num=*/2, /*wr_id=*/1, /*remote_addr=*/0x8000,
-                      /*length=*/1024, /*rkey=*/7, /*now_ns=*/10);
-  checker.WritePosted(6, 4, /*qp_num=*/3, /*wr_id=*/1, /*remote_addr=*/0x8200,
-                      /*length=*/1024, /*rkey=*/7, /*now_ns=*/15);
+  checker.WritePosted(5, 4, /*qp_num=*/2, /*wr_id=*/1, {SgExtentInfo{0x8000, 1024}},
+                      /*rkey=*/7, /*now_ns=*/10);
+  checker.WritePosted(6, 4, /*qp_num=*/3, /*wr_id=*/1, {SgExtentInfo{0x8200, 1024}},
+                      /*rkey=*/7, /*now_ns=*/15);
   ASSERT_EQ(checker.count(DiagKind::kRemoteRace), 1) << checker.Report();
   checker.WriteFinished(5, 2, 1, 20);
   checker.WriteFinished(6, 3, 1, 25);
@@ -483,10 +499,10 @@ TEST(RdmaCheckHookTest, OverlappingTreeSlotWritesAreARemoteRace) {
   // Disjoint slots — the layout the schedule actually computes — are clean,
   // as is reuse of the first range after its write completed (the wire
   // completion is the happens-before edge).
-  checker.WritePosted(5, 4, 2, 2, 0x9000, 1024, 7, 30);
-  checker.WritePosted(6, 4, 3, 2, 0x9400, 1024, 7, 35);
+  checker.WritePosted(5, 4, 2, 2, {SgExtentInfo{0x9000, 1024}}, 7, 30);
+  checker.WritePosted(6, 4, 3, 2, {SgExtentInfo{0x9400, 1024}}, 7, 35);
   checker.WriteFinished(5, 2, 2, 40);
-  checker.WritePosted(7, 4, 9, 1, 0x9000, 1024, 7, 45);
+  checker.WritePosted(7, 4, 9, 1, {SgExtentInfo{0x9000, 1024}}, 7, 45);
   checker.WriteFinished(6, 3, 2, 50);
   checker.WriteFinished(7, 9, 1, 55);
   EXPECT_EQ(checker.count(DiagKind::kRemoteRace), 1) << checker.Report();

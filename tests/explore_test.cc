@@ -402,12 +402,30 @@ TEST(MutationTest, ExplorerCatchesFlagRidingInSgList) {
   EXPECT_FALSE(clean.failure_found) << clean.Summary();
 }
 
-// Direct 256 KB write (64 wire segments) under a seeded per-segment drop
-// probability. The kRetryKeepsCursor mutation makes the transport resume a
-// retry from its delivered-byte cursor instead of offset 0, which the checker
-// sees as a non-ascending segment the moment the retry redelivers.
-check::WorkloadBody DroppyDirectWriteBody(uint64_t seed) {
-  return [seed](Simulator& s) -> Status {
+// The work-request shapes a one-sided write can take on the wire.
+enum class WrShape { kDirect, kScatter, kBatch };
+
+const char* WrShapeName(WrShape shape) {
+  switch (shape) {
+    case WrShape::kDirect:
+      return "direct";
+    case WrShape::kScatter:
+      return "scatter";
+    case WrShape::kBatch:
+      return "batch";
+  }
+  return "?";
+}
+
+// About 256 KB (64 wire segments) written as |shape| under a seeded
+// per-segment drop probability: one direct write, one SG-WR of three
+// extents, or a doorbell chain of three WRs. The pieces are not MTU
+// multiples, so a drop always lands mid-piece. The kRetryKeepsCursor mutation
+// makes the transport resume a retry from its delivered-byte cursor instead
+// of offset 0, which the checker sees as a non-ascending segment the moment
+// the retry redelivers.
+check::WorkloadBody DroppyWriteBody(uint64_t seed, WrShape shape) {
+  return [seed, shape](Simulator& s) -> Status {
     FaultInjector injector(seed);
     LinkFaultSpec spec;
     spec.drop_probability = 0.05;
@@ -417,44 +435,79 @@ check::WorkloadBody DroppyDirectWriteBody(uint64_t seed) {
     world.fabric.SetFaultInjector(&injector);
     auto src_dev = world.MakeDevice(0);
     auto dst_dev = world.MakeDevice(1);
-    constexpr uint64_t kBytes = 256 << 10;
+    constexpr int kPieces = 3;
+    constexpr uint64_t kPieceBytes = 87'000;
+    constexpr uint64_t kBytes = kPieces * kPieceBytes;
     auto src = src_dev->AllocateMemRegion(kBytes);
     auto dst = dst_dev->AllocateMemRegion(kBytes);
     CHECK(src.ok() && dst.ok());
     auto chan = src_dev->GetChannel(dst_dev->endpoint(), 0);
     CHECK(chan.ok());
 
-    auto done = std::make_shared<bool>(false);
     // Heavy drop runs may exhaust the transport retries; either terminal
     // status is fine — the checker's verdict is what the test is after.
-    (*chan)->Memcpy(src->data(), src->lkey(), dst->Remote().addr, dst->rkey(), kBytes,
-                    device::Direction::kLocalToRemote,
-                    [done](const Status&) { *done = true; });
-    return s.RunUntilPredicate([done] { return *done; });
+    auto pending = std::make_shared<int>(shape == WrShape::kBatch ? kPieces : 1);
+    auto done = [pending](const Status&) { --*pending; };
+    switch (shape) {
+      case WrShape::kDirect:
+        (*chan)->Memcpy(src->data(), src->lkey(), dst->Remote().addr, dst->rkey(), kBytes,
+                        device::Direction::kLocalToRemote, done);
+        break;
+      case WrShape::kScatter: {
+        std::vector<rdma::SgExtent> extents;
+        for (int i = 0; i < kPieces; ++i) {
+          extents.push_back({reinterpret_cast<uint64_t>(src->data()) + i * kPieceBytes,
+                             dst->Remote().addr + i * kPieceBytes, kPieceBytes});
+        }
+        (*chan)->MemcpyScatter(std::move(extents), src->lkey(), dst->rkey(), done);
+        break;
+      }
+      case WrShape::kBatch: {
+        std::vector<device::RdmaChannel::BatchWrite> writes;
+        for (int i = 0; i < kPieces; ++i) {
+          writes.push_back({src->data() + i * kPieceBytes, src->lkey(),
+                            dst->Remote().addr + i * kPieceBytes, dst->rkey(), kPieceBytes,
+                            true, done});
+        }
+        (*chan)->MemcpyBatch(std::move(writes));
+        break;
+      }
+    }
+    return s.RunUntilPredicate([pending] { return *pending == 0; });
   };
 }
 
 TEST(MutationTest, ExplorerCatchesRetryThatResumesFromCursor) {
-  check::ScopedMutation mutation(check::kRetryKeepsCursor);
-  bool caught = false;
-  for (uint64_t seed = 1; seed <= 32 && !caught; ++seed) {
-    ExploreOptions options;
-    options.name = "retry-keeps-cursor";
+  for (WrShape shape : {WrShape::kDirect, WrShape::kScatter, WrShape::kBatch}) {
+    SCOPED_TRACE(WrShapeName(shape));
     // The bug is schedule-independent once a mid-transfer drop occurs, so
     // sweep fault seeds with a single canonical schedule each.
+    ExploreOptions options;
+    options.name = StrCat("retry-keeps-cursor-", WrShapeName(shape));
     options.max_schedules = 1;
     options.jitter_schedules = 0;
     options.minimize = false;
-    Explorer explorer(options);
-    ExploreResult result =
-        explorer.Explore(check::CheckedWorkload(DroppyDirectWriteBody(seed)));
-    if (result.failure_found) {
-      EXPECT_EQ(result.first_failure.failure_class, "check:non-ascending-segment")
-          << result.first_failure.details;
-      caught = true;
+    {
+      // Unmutated, the droppy write explores clean: every retry rewrites
+      // every piece from offset 0.
+      Explorer explorer(options);
+      ExploreResult clean = explorer.Explore(check::CheckedWorkload(DroppyWriteBody(1, shape)));
+      EXPECT_FALSE(clean.failure_found) << clean.Summary();
     }
+    check::ScopedMutation mutation(check::kRetryKeepsCursor);
+    bool caught = false;
+    for (uint64_t seed = 1; seed <= 32 && !caught; ++seed) {
+      Explorer explorer(options);
+      ExploreResult result =
+          explorer.Explore(check::CheckedWorkload(DroppyWriteBody(seed, shape)));
+      if (result.failure_found) {
+        EXPECT_EQ(result.first_failure.failure_class, "check:non-ascending-segment")
+            << result.first_failure.details;
+        caught = true;
+      }
+    }
+    EXPECT_TRUE(caught) << "no seed in [1, 32] produced a mid-transfer drop";
   }
-  EXPECT_TRUE(caught) << "no seed in [1, 32] produced a mid-transfer drop";
 }
 
 // Two-rank ring all-reduce, the standard collective workload for the

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/check/testing.h"
 #include "src/rdma/qp_pool.h"
 #include "src/rdma/verbs.h"
 #include "src/sim/fault.h"
@@ -13,9 +14,24 @@ namespace rdmadl {
 namespace rdma {
 namespace {
 
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
+
 class VerbsTest : public ::testing::Test {
  protected:
   VerbsTest() : fabric_(&simulator_, cost_, 3), rdma_(&fabric_) {}
+
+  // Deregisters every MR the test registered through RegisterMr, so the
+  // suite also runs clean under RdmaCheck's leak accounting. Tests that
+  // already deregistered an MR get NotFound here, which is ignored.
+  void TearDown() override {
+    for (const auto& [host, mr] : mrs_) (void)rdma_.nic(host)->DeregisterMemory(mr);
+  }
+
+  StatusOr<MemoryRegion> RegisterMr(int host, std::vector<uint8_t>& buf) {
+    StatusOr<MemoryRegion> mr = rdma_.nic(host)->RegisterMemory(buf.data(), buf.size());
+    if (mr.ok()) mrs_.emplace_back(host, *mr);
+    return mr;
+  }
 
   // Creates a connected QP pair between hosts a and b; returns {qp_a, qp_b}.
   std::pair<QueuePair*, QueuePair*> ConnectedPair(int a, int b) {
@@ -33,12 +49,13 @@ class VerbsTest : public ::testing::Test {
   net::CostModel cost_;
   net::Fabric fabric_;
   RdmaFabric rdma_;
+  std::vector<std::pair<int, MemoryRegion>> mrs_;
 };
 
 TEST_F(VerbsTest, RegisterMemoryAssignsDistinctKeys) {
   std::vector<uint8_t> buf(4096);
-  auto mr1 = rdma_.nic(0)->RegisterMemory(buf.data(), buf.size());
-  auto mr2 = rdma_.nic(0)->RegisterMemory(buf.data(), buf.size());
+  auto mr1 = RegisterMr(0, buf);
+  auto mr2 = RegisterMr(0, buf);
   ASSERT_TRUE(mr1.ok());
   ASSERT_TRUE(mr2.ok());
   EXPECT_NE(mr1->lkey, mr2->lkey);
@@ -58,16 +75,20 @@ TEST_F(VerbsTest, MemoryRegionLimitEnforced) {
   net::Fabric fabric(&simulator_, tight, 1);
   RdmaFabric rdma(&fabric);
   std::vector<uint8_t> buf(64);
+  std::vector<MemoryRegion> mrs;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(rdma.nic(0)->RegisterMemory(buf.data(), buf.size()).ok());
+    auto mr = rdma.nic(0)->RegisterMemory(buf.data(), buf.size());
+    ASSERT_TRUE(mr.ok());
+    mrs.push_back(*mr);
   }
   auto overflow = rdma.nic(0)->RegisterMemory(buf.data(), buf.size());
   EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
+  for (const MemoryRegion& mr : mrs) ASSERT_TRUE(rdma.nic(0)->DeregisterMemory(mr).ok());
 }
 
 TEST_F(VerbsTest, DeregisterFreesSlot) {
   std::vector<uint8_t> buf(64);
-  auto mr = rdma_.nic(0)->RegisterMemory(buf.data(), buf.size());
+  auto mr = RegisterMr(0, buf);
   ASSERT_TRUE(mr.ok());
   EXPECT_EQ(rdma_.nic(0)->num_registered_regions(), 1);
   ASSERT_TRUE(rdma_.nic(0)->DeregisterMemory(*mr).ok());
@@ -88,8 +109,8 @@ TEST_F(VerbsTest, OneSidedWriteCopiesBytes) {
   std::vector<uint8_t> src(64 * 1024);
   std::vector<uint8_t> dst(64 * 1024, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
 
   SendWorkRequest wr;
@@ -118,8 +139,8 @@ TEST_F(VerbsTest, WriteSegmentsLandInAscendingAddressOrder) {
   const size_t size = 16 * cost_.rdma_mtu_bytes;
   std::vector<uint8_t> src(size, 0xAB);
   std::vector<uint8_t> dst(size, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   SendWorkRequest wr;
   wr.wr_id = 1;
@@ -152,8 +173,8 @@ TEST_F(VerbsTest, OneSidedReadCopiesBytes) {
   std::vector<uint8_t> remote(32 * 1024);
   std::vector<uint8_t> local(32 * 1024, 0);
   std::iota(remote.begin(), remote.end(), 1);
-  auto remote_mr = rdma_.nic(1)->RegisterMemory(remote.data(), remote.size());
-  auto local_mr = rdma_.nic(0)->RegisterMemory(local.data(), local.size());
+  auto remote_mr = RegisterMr(1, remote);
+  auto local_mr = RegisterMr(0, local);
 
   SendWorkRequest wr;
   wr.wr_id = 9;
@@ -189,6 +210,8 @@ TEST_F(VerbsTest, ReadIsSlowerThanWriteBySmallRequestTrip) {
                        size, reinterpret_cast<uint64_t>(dst.data()), dst_mr->rkey};
     ASSERT_TRUE(qa->PostSend(wr).ok());
     ASSERT_TRUE(s.Run().ok());
+    ASSERT_TRUE(r.nic(0)->DeregisterMemory(*src_mr).ok());
+    ASSERT_TRUE(r.nic(1)->DeregisterMemory(*dst_mr).ok());
   }
   {
     sim::Simulator s;
@@ -208,6 +231,8 @@ TEST_F(VerbsTest, ReadIsSlowerThanWriteBySmallRequestTrip) {
                        remote_mr->rkey};
     ASSERT_TRUE(qa->PostSend(wr).ok());
     ASSERT_TRUE(s.Run().ok());
+    ASSERT_TRUE(r.nic(0)->DeregisterMemory(*local_mr).ok());
+    ASSERT_TRUE(r.nic(1)->DeregisterMemory(*remote_mr).ok());
   }
   EXPECT_GT(read_done, write_done);
   EXPECT_LT(read_done, write_done + 2 * cost_.rdma_one_way_latency_ns +
@@ -217,8 +242,8 @@ TEST_F(VerbsTest, ReadIsSlowerThanWriteBySmallRequestTrip) {
 TEST_F(VerbsTest, WriteWithBadRkeyFailsWithErrorCompletion) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(128), dst(128);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   SendWorkRequest wr;
   wr.wr_id = 3;
   wr.opcode = Opcode::kWrite;
@@ -238,8 +263,8 @@ TEST_F(VerbsTest, WriteWithBadRkeyFailsWithErrorCompletion) {
 TEST_F(VerbsTest, WriteBeyondRegionBoundsFails) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(256), dst(128);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   SendWorkRequest wr;
   wr.wr_id = 4;
   wr.opcode = Opcode::kWrite;
@@ -260,7 +285,7 @@ TEST_F(VerbsTest, PostSendOnUnconnectedQpFails) {
   CompletionQueue* cq = nic->CreateCompletionQueue();
   QueuePair* qp = nic->CreateQueuePair(cq, cq);
   std::vector<uint8_t> buf(64);
-  auto mr = nic->RegisterMemory(buf.data(), buf.size());
+  auto mr = RegisterMr(0, buf);
   SendWorkRequest wr;
   wr.opcode = Opcode::kWrite;
   wr.local_addr = reinterpret_cast<uint64_t>(buf.data());
@@ -285,8 +310,8 @@ TEST_F(VerbsTest, SendRecvDeliversMessage) {
   std::vector<uint8_t> msg(1000);
   std::iota(msg.begin(), msg.end(), 3);
   std::vector<uint8_t> recv_buf(4096, 0);
-  auto msg_mr = rdma_.nic(0)->RegisterMemory(msg.data(), msg.size());
-  auto recv_mr = rdma_.nic(1)->RegisterMemory(recv_buf.data(), recv_buf.size());
+  auto msg_mr = RegisterMr(0, msg);
+  auto recv_mr = RegisterMr(1, recv_buf);
 
   RecvWorkRequest rwr;
   rwr.wr_id = 100;
@@ -315,8 +340,8 @@ TEST_F(VerbsTest, SendWaitsForPostedRecv) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> msg(100, 0x5A);
   std::vector<uint8_t> recv_buf(4096, 0);
-  auto msg_mr = rdma_.nic(0)->RegisterMemory(msg.data(), msg.size());
-  auto recv_mr = rdma_.nic(1)->RegisterMemory(recv_buf.data(), recv_buf.size());
+  auto msg_mr = RegisterMr(0, msg);
+  auto recv_mr = RegisterMr(1, recv_buf);
 
   SendWorkRequest swr;
   swr.wr_id = 1;
@@ -347,8 +372,8 @@ TEST_F(VerbsTest, OversizedSendCompletesWithError) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> msg(4096, 1);
   std::vector<uint8_t> recv_buf(100);
-  auto msg_mr = rdma_.nic(0)->RegisterMemory(msg.data(), msg.size());
-  auto recv_mr = rdma_.nic(1)->RegisterMemory(recv_buf.data(), recv_buf.size());
+  auto msg_mr = RegisterMr(0, msg);
+  auto recv_mr = RegisterMr(1, recv_buf);
 
   RecvWorkRequest rwr;
   rwr.wr_id = 5;
@@ -375,8 +400,8 @@ TEST_F(VerbsTest, QpSerializesWorkRequestsInOrder) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(1024, 0x11);
   std::vector<uint8_t> dst(1024, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   std::vector<uint64_t> completion_order;
   qa->send_cq()->SetCompletionHandler([&] {
@@ -402,8 +427,8 @@ TEST_F(VerbsTest, QpSerializesWorkRequestsInOrder) {
 TEST_F(VerbsTest, NicStatsTrackTraffic) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> a(2048), b(2048);
-  auto a_mr = rdma_.nic(0)->RegisterMemory(a.data(), a.size());
-  auto b_mr = rdma_.nic(1)->RegisterMemory(b.data(), b.size());
+  auto a_mr = RegisterMr(0, a);
+  auto b_mr = RegisterMr(1, b);
   SendWorkRequest wr;
   wr.opcode = Opcode::kWrite;
   wr.local_addr = reinterpret_cast<uint64_t>(a.data());
@@ -435,8 +460,8 @@ TEST_F(VerbsTest, SgWritePostsOneDoorbellAndCompletesOnce) {
   std::vector<uint8_t> src(kExtents * kExtent);
   std::vector<uint8_t> dst(kExtents * kExtent, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
 
   SendWorkRequest wr;
@@ -476,8 +501,8 @@ TEST_F(VerbsTest, SgExtentsDeliverInListOrderWithAscendingPrefixPerExtent) {
   const uint64_t half = 8 * cost_.rdma_mtu_bytes;
   std::vector<uint8_t> src(2 * half, 0xCD);
   std::vector<uint8_t> dst(2 * half, 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   SendWorkRequest wr;
   wr.wr_id = 41;
@@ -523,8 +548,8 @@ TEST_F(VerbsTest, SgWriteRetryRestartsEveryExtent) {
   std::vector<uint8_t> src(3 * kExtent);
   std::vector<uint8_t> dst(3 * kExtent, 0);
   std::iota(src.begin(), src.end(), 5);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   SendWorkRequest wr;
   wr.wr_id = 42;
@@ -548,6 +573,9 @@ TEST_F(VerbsTest, SgWriteRetryRestartsEveryExtent) {
   EXPECT_FALSE(qa->send_cq()->Poll(&wc));
   EXPECT_EQ(rdma_.nic(0)->stats().retransmissions, 2u);
   EXPECT_FALSE(qa->in_error());
+  // Traffic counters are per WR, not per wire attempt.
+  EXPECT_EQ(rdma_.nic(0)->stats().sg_writes, 1u);
+  EXPECT_EQ(rdma_.nic(0)->stats().sg_extents, 3u);
 }
 
 TEST_F(VerbsTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
@@ -556,8 +584,8 @@ TEST_F(VerbsTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(8192), dst(4096, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   SendWorkRequest wr;
   wr.wr_id = 43;
@@ -581,8 +609,8 @@ TEST_F(VerbsTest, SgWriteValidatesEveryExtentBeforeAnyByteMoves) {
 TEST_F(VerbsTest, SgPostValidationRejectsBadLists) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(4096), dst(4096);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   SendWorkRequest wr;
   wr.opcode = Opcode::kRead;  // SG is kWrite-only.
@@ -606,6 +634,156 @@ TEST_F(VerbsTest, SgPostValidationRejectsBadLists) {
 }
 
 // ---------------------------------------------------------------------------
+// Doorbell-chained batches: one doorbell and one wire stream for a WQE list,
+// one CQE per WR, shared fate.
+// ---------------------------------------------------------------------------
+
+// |n| RDMA writes of distinct lengths (3000, 6000, ...), packed back to back
+// in |src| and targeting the same offsets in |dst|.
+std::vector<SendWorkRequest> PackedChain(int n, const std::vector<uint8_t>& src,
+                                         const MemoryRegion& src_mr,
+                                         const std::vector<uint8_t>& dst,
+                                         const MemoryRegion& dst_mr, uint64_t first_wr_id) {
+  std::vector<SendWorkRequest> wrs;
+  uint64_t offset = 0;
+  for (int i = 0; i < n; ++i) {
+    SendWorkRequest wr;
+    wr.wr_id = first_wr_id + i;
+    wr.opcode = Opcode::kWrite;
+    wr.local_addr = reinterpret_cast<uint64_t>(src.data()) + offset;
+    wr.lkey = src_mr.lkey;
+    wr.length = 3000 * static_cast<uint64_t>(i + 1);
+    wr.remote_addr = reinterpret_cast<uint64_t>(dst.data()) + offset;
+    wr.rkey = dst_mr.rkey;
+    wrs.push_back(wr);
+    offset += wr.length;
+  }
+  return wrs;
+}
+
+constexpr uint64_t kChainBytes = 3000 * (1 + 2 + 3 + 4);  // PackedChain(4, ...).
+
+TEST_F(VerbsTest, DoorbellChainRingsOnceAndCompletesEveryWrInFifoOrder) {
+  auto [qa, qb] = ConnectedPair(0, 1);
+  std::vector<uint8_t> src(kChainBytes), dst(kChainBytes, 0);
+  std::iota(src.begin(), src.end(), 1);
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
+  ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
+
+  const NicStats before = rdma_.nic(0)->stats();
+  ASSERT_TRUE(qa->PostSendBatch(PackedChain(4, src, *src_mr, dst, *dst_mr, 60)).ok());
+  ASSERT_TRUE(simulator_.Run().ok());
+
+  EXPECT_EQ(src, dst);
+  const NicStats& after = rdma_.nic(0)->stats();
+  EXPECT_EQ(after.doorbells - before.doorbells, 1u);
+  EXPECT_EQ(after.doorbell_batches - before.doorbell_batches, 1u);
+  // One CQE per WR, in posting order, each carrying its own WR's length.
+  for (int i = 0; i < 4; ++i) {
+    WorkCompletion wc;
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, 60u + i);
+    EXPECT_EQ(wc.opcode, Opcode::kWrite);
+    EXPECT_TRUE(wc.status.ok());
+    EXPECT_EQ(wc.byte_len, 3000u * (i + 1));
+  }
+  WorkCompletion extra;
+  EXPECT_FALSE(qa->send_cq()->Poll(&extra));
+}
+
+TEST_F(VerbsTest, DoorbellChainRetransmitsTheWholeChain) {
+  sim::FaultInjector injector(1);
+  sim::LinkFaultSpec spec;
+  spec.drop_first_n = 2;  // First two wire attempts lose a segment.
+  injector.SetLinkFault(0, 1, spec);
+  fabric_.SetFaultInjector(&injector);
+
+  auto [qa, qb] = ConnectedPair(0, 1);
+  std::vector<uint8_t> src(kChainBytes), dst(kChainBytes, 0);
+  std::iota(src.begin(), src.end(), 9);
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
+  ASSERT_TRUE(qa->PostSendBatch(PackedChain(4, src, *src_mr, dst, *dst_mr, 70)).ok());
+  ASSERT_TRUE(simulator_.Run().ok());
+
+  // Every retransmission restarted the stream at the first sub-WR, so each
+  // sub-WR's bytes are intact and each completes exactly once.
+  EXPECT_EQ(src, dst);
+  for (int i = 0; i < 4; ++i) {
+    WorkCompletion wc;
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, 70u + i);
+    EXPECT_TRUE(wc.status.ok());
+    EXPECT_EQ(wc.byte_len, 3000u * (i + 1));
+  }
+  WorkCompletion extra;
+  EXPECT_FALSE(qa->send_cq()->Poll(&extra));
+  EXPECT_EQ(rdma_.nic(0)->stats().retransmissions, 2u);
+  EXPECT_EQ(injector.stats().forced_drops, 2u);
+  EXPECT_FALSE(qa->in_error());
+  // Traffic counters are per WR, not per wire attempt.
+  EXPECT_EQ(rdma_.nic(0)->stats().writes, 4u);
+  EXPECT_EQ(rdma_.nic(0)->stats().write_bytes, kChainBytes);
+  EXPECT_EQ(rdma_.nic(0)->stats().doorbell_batches, 1u);
+}
+
+TEST_F(VerbsTest, DoorbellChainBadTargetInLastWrFailsEveryWrBeforeAnyByteMoves) {
+  auto [qa, qb] = ConnectedPair(0, 1);
+  std::vector<uint8_t> src(kChainBytes);
+  std::vector<uint8_t> dst(kChainBytes - 1, 0);  // One byte short for the last WR.
+  std::iota(src.begin(), src.end(), 0);
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
+  ASSERT_TRUE(qa->PostSendBatch(PackedChain(4, src, *src_mr, dst, *dst_mr, 80)).ok());
+  ASSERT_TRUE(simulator_.Run().ok());
+
+  for (int i = 0; i < 4; ++i) {
+    WorkCompletion wc;
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, 80u + i);
+    EXPECT_EQ(wc.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(wc.byte_len, 0u);
+  }
+  EXPECT_EQ(rdma_.nic(1)->stats().rkey_violations, 1u);
+  for (uint8_t b : dst) ASSERT_EQ(b, 0);  // No partial delivery.
+  EXPECT_FALSE(qa->in_error());
+}
+
+TEST_F(VerbsTest, DoorbellChainRetryExhaustionFailsChainAndFlushesQueuedWrsInOrder) {
+  sim::FaultInjector injector(1);
+  sim::LinkFaultSpec spec;
+  spec.drop_first_n = 1'000'000;  // The link never heals.
+  injector.SetLinkFault(0, 1, spec);
+  fabric_.SetFaultInjector(&injector);
+
+  auto [qa, qb] = ConnectedPair(0, 1);
+  std::vector<uint8_t> src(kChainBytes), dst(kChainBytes, 0);
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
+  ASSERT_TRUE(qa->PostSendBatch(PackedChain(4, src, *src_mr, dst, *dst_mr, 1)).ok());
+  // Queued behind the chain: a single WR, then a second chain.
+  ASSERT_TRUE(qa->PostSend(PackedChain(1, src, *src_mr, dst, *dst_mr, 5).front()).ok());
+  ASSERT_TRUE(qa->PostSendBatch(PackedChain(2, src, *src_mr, dst, *dst_mr, 6)).ok());
+  ASSERT_TRUE(simulator_.Run().ok());
+
+  EXPECT_TRUE(qa->in_error());
+  EXPECT_EQ(qa->error_cause().code(), StatusCode::kUnavailable);
+  // The chain fails as one, then every queued WR flushes, in FIFO order.
+  WorkCompletion wc;
+  for (uint64_t id = 1; id <= 7; ++id) {
+    ASSERT_TRUE(qa->send_cq()->Poll(&wc));
+    EXPECT_EQ(wc.wr_id, id);
+    EXPECT_EQ(wc.status.code(), id <= 4 ? StatusCode::kUnavailable : StatusCode::kAborted);
+    EXPECT_EQ(wc.byte_len, 0u);
+  }
+  EXPECT_FALSE(qa->send_cq()->Poll(&wc));
+  EXPECT_EQ(rdma_.nic(0)->stats().flushed_wrs, 3u);
+  EXPECT_EQ(rdma_.nic(0)->stats().retransmissions,
+            static_cast<uint64_t>(cost_.rdma_transport_retry_count));
+}
+
+// ---------------------------------------------------------------------------
 // Transport error paths under fault injection: retry, error-state flush
 // semantics, and recovery.
 // ---------------------------------------------------------------------------
@@ -620,8 +798,8 @@ TEST_F(VerbsTest, TransportRetryRecoversFromDroppedSegments) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(64 * 1024), dst(64 * 1024, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
 
   SendWorkRequest wr;
   wr.wr_id = 11;
@@ -644,6 +822,9 @@ TEST_F(VerbsTest, TransportRetryRecoversFromDroppedSegments) {
   EXPECT_EQ(rdma_.nic(0)->stats().retransmissions, 2u);
   EXPECT_FALSE(qa->in_error());
   EXPECT_EQ(injector.stats().forced_drops, 2u);
+  // Traffic counters are per WR, not per wire attempt.
+  EXPECT_EQ(rdma_.nic(0)->stats().writes, 1u);
+  EXPECT_EQ(rdma_.nic(0)->stats().write_bytes, 64u * 1024);
 }
 
 TEST_F(VerbsTest, RetryExhaustionErrorsQpAndFlushesQueuedWrsInOrder) {
@@ -655,8 +836,8 @@ TEST_F(VerbsTest, RetryExhaustionErrorsQpAndFlushesQueuedWrsInOrder) {
 
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(4096), dst(4096);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   for (uint64_t id = 1; id <= 3; ++id) {
     SendWorkRequest wr;
     wr.wr_id = id;
@@ -700,8 +881,8 @@ TEST_F(VerbsTest, PostOnErroredQpCompletesWithFlushStatus) {
 
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(1024), dst(1024);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   SendWorkRequest wr;
   wr.wr_id = 21;
   wr.opcode = Opcode::kWrite;
@@ -748,8 +929,8 @@ TEST_F(VerbsTest, RecoverReturnsErroredQpToService) {
   auto [qa, qb] = ConnectedPair(0, 1);
   std::vector<uint8_t> src(8192), dst(8192, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = rdma_.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = rdma_.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = RegisterMr(0, src);
+  auto dst_mr = RegisterMr(1, dst);
   SendWorkRequest wr;
   wr.wr_id = 31;
   wr.opcode = Opcode::kWrite;
@@ -789,10 +970,20 @@ class QpPoolTest : public ::testing::Test {
     int lane;
   };
 
-  // One self-contained stack per test so caps can vary.
+  // One self-contained stack per test so caps can vary. MRs registered
+  // through RegisterMr are deregistered when the stack is torn down.
   struct Stack {
     explicit Stack(net::CostModel cost, int hosts = 3)
         : fabric(&simulator, cost, hosts), rdma(&fabric), pool(&rdma) {}
+    ~Stack() {
+      for (const auto& [host, mr] : mrs) CHECK_OK(rdma.nic(host)->DeregisterMemory(mr));
+    }
+
+    StatusOr<MemoryRegion> RegisterMr(int host, std::vector<uint8_t>& buf) {
+      StatusOr<MemoryRegion> mr = rdma.nic(host)->RegisterMemory(buf.data(), buf.size());
+      if (mr.ok()) mrs.emplace_back(host, *mr);
+      return mr;
+    }
 
     void Register(const Endpoint& ep, std::vector<EvictionRecord>* log = nullptr) {
       NicDevice* nic = rdma.nic(ep.host_id);
@@ -808,6 +999,7 @@ class QpPoolTest : public ::testing::Test {
     net::Fabric fabric;
     RdmaFabric rdma;
     QpPool pool;
+    std::vector<std::pair<int, MemoryRegion>> mrs;
   };
 
   static net::CostModel Capped(int max_qps) {
@@ -845,8 +1037,8 @@ TEST_F(QpPoolTest, AcquireCreatesOnceThenHitsFromBothEnds) {
   // A pooled lane carries real traffic.
   std::vector<uint8_t> src(4096), dst(4096, 0);
   std::iota(src.begin(), src.end(), 0);
-  auto src_mr = s.rdma.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = s.rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = s.RegisterMr(0, src);
+  auto dst_mr = s.RegisterMr(1, dst);
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
   SendWorkRequest wr;
   wr.wr_id = 1;
@@ -916,8 +1108,8 @@ TEST_F(QpPoolTest, BusyLanesAreNotEvicted) {
   auto qa = s.pool.Acquire(a, b, 0);
   ASSERT_TRUE(qa.ok());
   std::vector<uint8_t> src(1 << 20), dst(1 << 20, 0);
-  auto src_mr = s.rdma.nic(0)->RegisterMemory(src.data(), src.size());
-  auto dst_mr = s.rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
+  auto src_mr = s.RegisterMr(0, src);
+  auto dst_mr = s.RegisterMr(1, dst);
   ASSERT_TRUE(src_mr.ok() && dst_mr.ok());
   SendWorkRequest wr;
   wr.wr_id = 9;
@@ -980,9 +1172,9 @@ TEST_F(QpPoolTest, SameSeedRunsProduceIdenticalTraces) {
     s.Register(c);
     std::vector<uint8_t> src(64 * 1024), dst(64 * 1024, 0);
     std::iota(src.begin(), src.end(), 0);
-    auto src_mr = s.rdma.nic(0)->RegisterMemory(src.data(), src.size());
-    auto dst_b = s.rdma.nic(1)->RegisterMemory(dst.data(), dst.size());
-    auto dst_c = s.rdma.nic(2)->RegisterMemory(dst.data(), dst.size());
+    auto src_mr = s.RegisterMr(0, src);
+    auto dst_b = s.RegisterMr(1, dst);
+    auto dst_c = s.RegisterMr(2, dst);
     CHECK(src_mr.ok() && dst_b.ok() && dst_c.ok());
     for (int round = 0; round < 6; ++round) {
       const Endpoint& remote = (round % 2 == 0) ? b : c;
