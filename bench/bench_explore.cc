@@ -165,11 +165,11 @@ check::WorkloadBody StripedFlagBody() {
                                          dst_flag->Remote().addr, dst_flag->rkey(), 1, true};
     // Lane 1: lane 0 owns the dropped stripe; a flag queued there would
     // serialize behind the retry and hide the bug.
-    engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, /*lane_hint=*/1,
-                         [done, result](const Status& status) {
-                           *done = true;
-                           if (!status.ok()) *result = status;
-                         });
+    engine.Write(dst_dev->endpoint(), {&payload, 1}, flag, /*lane_hint=*/1,
+                 [done, result](const Status& status) {
+                   *done = true;
+                   if (!status.ok()) *result = status;
+                 });
     Status run = s.RunUntilPredicate([done, poller] { return *done && poller->trusted; });
     if (!run.ok()) return run;
     return *result;

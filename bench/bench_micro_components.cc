@@ -113,12 +113,12 @@ void BM_MatMulKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulKernel)->Arg(16)->Arg(64);
 
-// Wall-clock of the scatter/gather posting path: one WriteGather call with N
-// extents, run to completion. The engine keeps its flattening scratch
-// (gather_scratch_) and stripe plan (stripe_bounds_) hoisted as members —
-// cleared, never shrunk — so steady-state iterations allocate nothing per
-// extent while planning. Per-extent heap churn in the posting path shows up
-// directly as a drop in extents/second here.
+// Wall-clock of the scatter/gather posting path: one multi-piece Write with
+// N extents, run to completion. The engine keeps its planner scratch
+// (pieces_, runs_, channels_) hoisted as members — cleared, never shrunk — so
+// steady-state iterations allocate nothing per extent while planning.
+// Per-extent heap churn in the posting path shows up directly as a drop in
+// extents/second here.
 void BM_TransferEngineGatherPost(benchmark::State& state) {
   const int num_extents = static_cast<int>(state.range(0));
   // Small extents keep the wire simulation (one segment per extent) cheap, so
@@ -159,7 +159,7 @@ void BM_TransferEngineGatherPost(benchmark::State& state) {
   for (auto _ : state) {
     dst_flag->data()[0] = 0;
     bool done = false;
-    comm::TransferEngine::Route route = engine.WriteGather(
+    comm::TransferEngine::Route route = engine.Write(
         (*dst_dev)->endpoint(), extents, flag, /*lane_hint=*/0,
         [&done](const Status& status) { done = status.ok(); });
     CHECK(route == comm::TransferEngine::Route::kScatterGather);

@@ -817,10 +817,10 @@ void CollectiveGroup::PostChunk(const std::shared_ptr<Op>& op, int src_rank, int
     flag.rkey = peer.flags.rkey;
     flag.bytes = 1;
     flag.copy_bytes = true;
-    src->engine->WriteWithFlag(dst->endpoint, payload, flag, qp_lane,
-                               [this, op](const Status& status) {
-                                 if (!status.ok()) Fail(op, status);
-                               });
+    src->engine->Write(dst->endpoint, {&payload, 1}, flag, qp_lane,
+                       [this, op](const Status& status) {
+                         if (!status.ok()) Fail(op, status);
+                       });
     return;
   }
 

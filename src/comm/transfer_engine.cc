@@ -1,6 +1,7 @@
 #include "src/comm/transfer_engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/check/mutation.h"
@@ -8,6 +9,66 @@
 
 namespace rdmadl {
 namespace comm {
+namespace {
+
+// Doorbell coalescing: single-piece writes of at most this many bytes queue
+// per peer and share one doorbell chain.
+constexpr uint64_t kCoalesceThresholdBytes = 8192;
+// How long a queued write may wait for peers to join its batch. Under one
+// wire latency, so a lone sender loses less than a flight time while bursts
+// of small tensors share one doorbell.
+constexpr int64_t kCoalesceWindowNs = 400;
+
+// The one fire-once join under every route. Each WR of a write (payload run
+// or flag) completes through Callback(). |on_done| fires exactly once: with
+// the first error, or with OK once all |pending| WRs have completed. While
+// |flag_posted| is false (striped and SG routes) the last payload completion
+// posts the flag instead. Every payload byte is then at the target, so the
+// flag cannot overtake any of them, whichever lane carries it (§3.2).
+struct Completion {
+  device::MemcpyCallback on_done;
+  int pending = 0;
+  bool fired = false;
+  bool flag_posted = false;
+  TransferEngine::WriteDesc flag;
+  device::RdmaChannel* flag_channel = nullptr;
+
+  void Fire(const Status& status) {
+    if (fired) return;
+    fired = true;
+    if (device::MemcpyCallback cb = std::exchange(on_done, nullptr)) cb(status);
+  }
+
+  void PostFlag(device::MemcpyCallback callback) {
+    flag_channel->Memcpy(flag.local_addr, flag.lkey, flag.remote_addr, flag.rkey, flag.bytes,
+                         device::Direction::kLocalToRemote, std::move(callback),
+                         flag.copy_bytes);
+  }
+
+  static device::MemcpyCallback Callback(std::shared_ptr<Completion> c) {
+    return [c = std::move(c)](const Status& status) {
+      if (!status.ok()) c->Fire(status);
+      if (check::MutationEnabled(check::kFlagBeforeLastStripe) && !c->fired &&
+          !c->flag_posted && c->flag.bytes > 0) {
+        // Seeded bug (explorer self-validation): the flag is posted on the
+        // FIRST payload completion. Sibling WRs are still in flight, so a
+        // receiver that trusts the flag reads a torn payload.
+        c->flag_posted = true;
+        c->PostFlag(nullptr);
+      }
+      if (--c->pending > 0 || c->fired) return;
+      if (c->flag_posted || c->flag.bytes == 0) {
+        c->Fire(OkStatus());
+        return;
+      }
+      c->flag_posted = true;
+      ++c->pending;
+      c->PostFlag(Callback(c));
+    };
+  }
+};
+
+}  // namespace
 
 TransferEngine::TransferEngine(device::RdmaDevice* device, const TransferEngineOptions& options)
     : device_(device), options_(options) {
@@ -57,371 +118,200 @@ void TransferEngine::FailAsync(device::MemcpyCallback on_done, Status status) {
       0, [cb = std::move(on_done), s = std::move(status)]() { cb(s); });
 }
 
-TransferEngine::Route TransferEngine::WriteWithFlag(const Endpoint& remote,
-                                                    const WriteDesc& payload,
-                                                    const WriteDesc& flag_desc, int lane_hint,
-                                                    device::MemcpyCallback on_done) {
+TransferEngine::Route TransferEngine::Write(const Endpoint& remote,
+                                            std::span<const WriteDesc> pieces,
+                                            const WriteDesc& flag_desc, int lane_hint,
+                                            device::MemcpyCallback on_done) {
+  // 1. Normalise: one registration domain, no empty pieces.
+  pieces_.clear();
+  uint64_t total = 0;
+  for (const WriteDesc& piece : pieces) {
+    if (piece.lkey != pieces[0].lkey || piece.rkey != pieces[0].rkey) {
+      FailAsync(std::move(on_done),
+                InvalidArgument("Write pieces must share one lkey/rkey pair"));
+      return Route::kScatterGather;
+    }
+    if (piece.bytes == 0) continue;
+    pieces_.push_back(piece);
+    total += piece.bytes;
+  }
   WriteDesc flag = flag_desc;
-  if (payload.bytes > 0 && flag.bytes > 0 &&
-      check::MutationEnabled(check::kSkipFlagWrite)) {
+  if (!pieces_.empty() && flag.bytes > 0 && check::MutationEnabled(check::kSkipFlagWrite)) {
     // Seeded bug (explorer self-validation): the sender "forgets" the flag
     // write. The payload lands, the completion fires, and the receiver polls
     // a flag byte nobody will ever set — the stall detector's target.
     flag.bytes = 0;
   }
-  if (payload.bytes == 0) {
-    return PostDirect(remote, payload, flag, lane_hint, std::move(on_done));
-  }
-  // Striping parallelizes the per-QP WQE-engine work. With the engine ceiling
-  // disabled (rate 0 = infinite) there is nothing to parallelize: the stripes
-  // would only fair-share the wire with unrelated transfers and delay this
-  // write's own flag, so the route is also gated on a finite engine rate.
-  if (options_.enable_striping && LaneCountFor(remote) > 1 &&
-      payload.bytes >= options_.stripe_threshold_bytes &&
-      device_->nic()->cost().rdma_qp_engine_bytes_per_sec > 0) {
-    PostStriped(remote, payload, flag, lane_hint, std::move(on_done));
-    return Route::kStriped;
-  }
-  if (options_.enable_coalescing && payload.bytes <= options_.coalesce_threshold_bytes) {
-    PeerQueue& queue = queues_[remote];
-    queue.pending.push_back(PendingWrite{payload, flag, std::move(on_done)});
-    ++stats_.coalesced_writes;
-    if (static_cast<int>(queue.pending.size()) >= options_.max_coalesce_batch) {
-      Flush(remote, &queue);
-    } else if (!queue.flush_scheduled) {
-      queue.flush_scheduled = true;
-      const uint64_t gen = generation_;
-      const Endpoint rem = remote;
-      device_->simulator()->ScheduleAfter(options_.coalesce_window_ns, [this, rem, gen]() {
-        if (gen != generation_) return;
-        auto it = queues_.find(rem);
-        if (it == queues_.end()) return;
-        it->second.flush_scheduled = false;
-        Flush(rem, &it->second);
-      });
-    }
+
+  // 2. Route. Striping parallelizes the per-QP WQE-engine work. With the
+  // engine ceiling disabled (rate 0 = infinite) there is nothing to
+  // parallelize: the stripes would only fair-share the wire with unrelated
+  // transfers and delay this write's own flag, so the gate also needs a
+  // finite engine rate.
+  const bool stripe = options_.enable_striping && total >= options_.stripe_threshold_bytes &&
+                      device_->nic()->cost().rdma_qp_engine_bytes_per_sec > 0 &&
+                      LaneCountFor(remote) > 1;
+  Route route = Route::kDirect;
+  if (pieces_.size() > 1) {
+    route = Route::kScatterGather;
+  } else if (pieces_.size() == 1 && stripe) {
+    route = Route::kStriped;
+  } else if (pieces_.size() == 1 && options_.enable_coalescing &&
+             total <= kCoalesceThresholdBytes) {
+    Enqueue(remote, PendingWrite{pieces_[0], flag, std::move(on_done)});
     return Route::kCoalesced;
   }
-  return PostDirect(remote, payload, flag, lane_hint, std::move(on_done));
-}
 
-TransferEngine::Route TransferEngine::PostDirect(const Endpoint& remote,
-                                                 const WriteDesc& payload,
-                                                 const WriteDesc& flag, int lane_hint,
-                                                 device::MemcpyCallback on_done) {
-  auto channel_or = Channel(remote, lane_hint % std::max(1, device_->num_qps_per_peer()));
-  if (!channel_or.ok()) {
-    FailAsync(std::move(on_done), channel_or.status());
-    return Route::kDirect;
+  // 3. Cut into runs of pieces_, one work request each.
+  const bool joined = route != Route::kDirect;
+  const int lanes = joined ? LaneCountFor(remote) : std::max(1, device_->num_qps_per_peer());
+  runs_.clear();
+  if (route == Route::kStriped) {
+    CutStripes(lanes);
+  } else if (route == Route::kScatterGather) {
+    CutExtentRuns(stripe ? std::min<int>(lanes, static_cast<int>(pieces_.size())) : 1);
+  } else if (!pieces_.empty()) {
+    runs_.emplace_back(0, 1);
   }
-  device::RdmaChannel* channel = *channel_or;
-  ++stats_.direct_writes;
-  if (payload.bytes == 0) {
-    channel->Memcpy(flag.local_addr, flag.lkey, flag.remote_addr, flag.rkey, flag.bytes,
-                    device::Direction::kLocalToRemote, std::move(on_done), flag.copy_bytes);
-    return Route::kDirect;
-  }
-  if (flag.bytes == 0) {
-    // Payload only (flagless write, or the flag was mutated away): the
-    // payload completion is the one the caller sees.
-    channel->Memcpy(payload.local_addr, payload.lkey, payload.remote_addr, payload.rkey,
-                    payload.bytes, device::Direction::kLocalToRemote, std::move(on_done),
-                    payload.copy_bytes);
-    return Route::kDirect;
-  }
-  // Same-QP FIFO + ascending-address delivery orders the flag behind the
-  // payload (§3.2). The payload callback fires only on error; the flag
-  // callback is the one completion the caller sees.
-  auto state = std::make_shared<device::MemcpyCallback>(std::move(on_done));
-  channel->Memcpy(
-      payload.local_addr, payload.lkey, payload.remote_addr, payload.rkey, payload.bytes,
-      device::Direction::kLocalToRemote,
-      [state](const Status& status) {
-        if (!status.ok() && *state) {
-          device::MemcpyCallback cb = std::move(*state);
-          *state = nullptr;
-          cb(status);
-        }
-      },
-      payload.copy_bytes);
-  channel->Memcpy(
-      flag.local_addr, flag.lkey, flag.remote_addr, flag.rkey, flag.bytes,
-      device::Direction::kLocalToRemote,
-      [state](const Status& status) {
-        if (*state) {
-          device::MemcpyCallback cb = std::move(*state);
-          *state = nullptr;
-          cb(status);
-        }
-      },
-      flag.copy_bytes);
-  return Route::kDirect;
-}
 
-void TransferEngine::PostStriped(const Endpoint& remote, const WriteDesc& payload,
-                                 const WriteDesc& flag, int lane_hint,
-                                 device::MemcpyCallback on_done) {
-  const int lanes = LaneCountFor(remote);
-  // MTU-aligned contiguous stripes: each lane gets one disjoint range, so no
-  // two in-flight writes overlap (clean under the remote-race detector).
-  const uint64_t mtu = std::max<uint64_t>(1, device_->cost().rdma_mtu_bytes);
-  uint64_t per = (payload.bytes + lanes - 1) / lanes;
-  per = (per + mtu - 1) / mtu * mtu;
-  const int num_stripes = static_cast<int>((payload.bytes + per - 1) / per);
-
-  // Resolve every channel before posting anything, so a connection failure
-  // fails the write whole instead of half-posted.
-  std::vector<device::RdmaChannel*> channels;
-  channels.reserve(num_stripes);
-  for (int i = 0; i < num_stripes; ++i) {
-    auto channel_or = Channel(remote, i % lanes);
+  // 4. Post. Resolve every channel before posting anything, so a connection
+  // failure fails the write whole instead of half-posted. A lone SG-WR keeps
+  // the caller's lane; stripes and several SG-WRs are dealt from lane 0. A
+  // direct write's payload shares the flag's channel.
+  channels_.clear();
+  for (size_t i = 0; joined && i < runs_.size(); ++i) {
+    const bool lone_sg = route == Route::kScatterGather && runs_.size() == 1;
+    auto channel_or = Channel(remote, (lone_sg ? lane_hint : static_cast<int>(i)) % lanes);
     if (!channel_or.ok()) {
       FailAsync(std::move(on_done), channel_or.status());
-      return;
+      return route;
     }
-    channels.push_back(*channel_or);
+    channels_.push_back(*channel_or);
   }
   auto flag_channel_or = Channel(remote, lane_hint % lanes);
   if (!flag_channel_or.ok()) {
     FailAsync(std::move(on_done), flag_channel_or.status());
-    return;
+    return route;
+  }
+  if (!joined) channels_.assign(runs_.size(), *flag_channel_or);
+
+  switch (route) {
+    case Route::kDirect:
+      ++stats_.direct_writes;
+      break;
+    case Route::kStriped:
+      ++stats_.striped_writes;
+      stats_.stripe_lane_writes += static_cast<int64_t>(runs_.size());
+      break;
+    default:
+      ++stats_.gather_writes;
+      stats_.sg_wrs_posted += static_cast<int64_t>(runs_.size());
+      stats_.sg_extents_posted += static_cast<int64_t>(pieces_.size());
+      break;
   }
 
-  ++stats_.striped_writes;
-  stats_.stripe_lane_writes += num_stripes;
-
-  struct Join {
-    int pending = 0;
-    bool failed = false;
-    bool flag_posted = false;  // Set by the kFlagBeforeLastStripe mutation.
-    device::MemcpyCallback on_done;
-    device::RdmaChannel* flag_channel = nullptr;
-    WriteDesc flag;
-  };
-  auto join = std::make_shared<Join>();
-  join->pending = num_stripes;
+  // The route's flag policy. kDirect posts the flag FIFO behind the payload
+  // on one QP. kStriped and kScatterGather post it after every payload WR
+  // completed (the join), unless the seeded bug rides it in the SG list.
+  const bool flag_in_list = route == Route::kScatterGather && flag.bytes > 0 &&
+                            check::MutationEnabled(check::kFlagRidesInSgList) &&
+                            flag.lkey == pieces_[0].lkey && flag.rkey == pieces_[0].rkey;
+  auto join = std::make_shared<Completion>();
   join->on_done = std::move(on_done);
-  join->flag_channel = *flag_channel_or;
   join->flag = flag;
-
-  uint64_t offset = 0;
-  for (int i = 0; i < num_stripes; ++i) {
-    const uint64_t len = std::min(per, payload.bytes - offset);
-    channels[i]->Memcpy(
-        static_cast<uint8_t*>(payload.local_addr) + offset, payload.lkey,
-        payload.remote_addr + offset, payload.rkey, len, device::Direction::kLocalToRemote,
-        [join](const Status& status) {
-          if (!status.ok() && !join->failed) {
-            // First stripe error fails the write; later completions only
-            // drain the join.
-            join->failed = true;
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(status);
-            }
-          }
-          if (check::MutationEnabled(check::kFlagBeforeLastStripe) && !join->failed &&
-              !join->flag_posted && join->flag.bytes > 0) {
-            // Seeded bug (explorer self-validation): the flag is posted on
-            // the FIRST stripe completion — sibling stripes are still in
-            // flight, so a receiver that trusts the flag reads a torn
-            // payload.
-            join->flag_posted = true;
-            join->flag_channel->Memcpy(join->flag.local_addr, join->flag.lkey,
-                                       join->flag.remote_addr, join->flag.rkey,
-                                       join->flag.bytes, device::Direction::kLocalToRemote,
-                                       [](const Status&) {}, join->flag.copy_bytes);
-          }
-          if (--join->pending > 0 || join->failed) return;
-          // Every stripe's completion has been observed: all payload bytes
-          // are at the target, so the flag — on any lane — cannot overtake
-          // them (the checker's completion-ordering happens-before edge).
-          if (join->flag.bytes == 0 || join->flag_posted) {
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(OkStatus());
-            }
-            return;
-          }
-          join->flag_channel->Memcpy(join->flag.local_addr, join->flag.lkey,
-                                     join->flag.remote_addr, join->flag.rkey, join->flag.bytes,
-                                     device::Direction::kLocalToRemote,
-                                     std::move(join->on_done), join->flag.copy_bytes);
-          join->on_done = nullptr;
-        },
-        payload.copy_bytes);
-    offset += len;
-  }
-}
-
-TransferEngine::Route TransferEngine::WriteGather(const Endpoint& remote,
-                                                  const std::vector<WriteDesc>& extents,
-                                                  const WriteDesc& flag, int lane_hint,
-                                                  device::MemcpyCallback on_done) {
-  if (extents.empty()) {
-    WriteDesc empty;
-    return PostDirect(remote, empty, flag, lane_hint, std::move(on_done));
-  }
-  if (extents.size() == 1) {
-    // A single extent has nothing to gather: reuse the size-based routing
-    // (striping / coalescing / direct) unchanged.
-    return WriteWithFlag(remote, extents[0], flag, lane_hint, std::move(on_done));
-  }
-  const uint32_t lkey = extents[0].lkey;
-  const uint32_t rkey = extents[0].rkey;
-  const bool copy_bytes = extents[0].copy_bytes;
-  uint64_t total = 0;
-  for (const WriteDesc& e : extents) {
-    if (e.lkey != lkey || e.rkey != rkey) {
-      FailAsync(std::move(on_done),
-                InvalidArgument("WriteGather extents must share one lkey/rkey pair"));
-      return Route::kScatterGather;
+  join->flag_channel = *flag_channel_or;
+  join->flag_posted = !joined || flag_in_list;
+  join->pending = static_cast<int>(runs_.size());
+  for (size_t i = 0; i < runs_.size(); ++i) {
+    const auto [lo, hi] = runs_[i];
+    if (route != Route::kScatterGather) {
+      const WriteDesc& p = pieces_[lo];
+      channels_[i]->Memcpy(p.local_addr, p.lkey, p.remote_addr, p.rkey, p.bytes,
+                           device::Direction::kLocalToRemote, Completion::Callback(join),
+                           p.copy_bytes);
+      continue;
     }
-    total += e.bytes;
+    std::vector<rdma::SgExtent> extents;
+    extents.reserve(hi - lo + (i == 0 && flag_in_list ? 1 : 0));
+    if (i == 0 && flag_in_list) {
+      // Seeded bug (explorer self-validation): the completion flag rides as
+      // the FIRST extent of the first SG-WR. Extents land in list order, so
+      // the flag byte is readable while every sibling extent — and every
+      // other SG-WR — is still in flight.
+      extents.push_back(rdma::SgExtent{reinterpret_cast<uint64_t>(flag.local_addr),
+                                       flag.remote_addr, flag.bytes});
+    }
+    for (size_t k = lo; k < hi; ++k) {
+      extents.push_back(rdma::SgExtent{reinterpret_cast<uint64_t>(pieces_[k].local_addr),
+                                       pieces_[k].remote_addr, pieces_[k].bytes});
+    }
+    channels_[i]->MemcpyScatter(std::move(extents), pieces_[0].lkey, pieces_[0].rkey,
+                                Completion::Callback(join), pieces_[0].copy_bytes);
   }
-  // Flatten into the hoisted scratch list (reserve-and-reuse: no per-extent
-  // allocation once the high-water mark is reached).
-  gather_scratch_.clear();
-  gather_scratch_.reserve(extents.size() + 1);
-  for (const WriteDesc& e : extents) {
-    if (e.bytes == 0) continue;
-    gather_scratch_.push_back(rdma::SgExtent{reinterpret_cast<uint64_t>(e.local_addr),
-                                             e.remote_addr, e.bytes});
+  if (!joined && (flag.bytes > 0 || pieces_.empty())) {
+    ++join->pending;
+    join->PostFlag(Completion::Callback(join));
   }
-  if (gather_scratch_.empty()) {
-    WriteDesc empty;
-    return PostDirect(remote, empty, flag, lane_hint, std::move(on_done));
-  }
-  // Stripe only when the payload clears the same gate as WriteWithFlag's
-  // striping route: multiple lanes, threshold met, and a finite per-QP
-  // WQE-engine rate (with the ceiling disabled the stripes would only
-  // fair-share the wire and delay the flag).
-  int stripes = 1;
-  if (options_.enable_striping && total >= options_.stripe_threshold_bytes &&
-      device_->nic()->cost().rdma_qp_engine_bytes_per_sec > 0) {
-    stripes = std::min<int>(LaneCountFor(remote), static_cast<int>(gather_scratch_.size()));
-  }
-  PostGather(remote, flag, lane_hint, stripes, lkey, rkey, copy_bytes, std::move(on_done));
-  return Route::kScatterGather;
+  return route;
 }
 
-void TransferEngine::PostGather(const Endpoint& remote, const WriteDesc& flag_desc,
-                                int lane_hint, int stripes, uint32_t lkey, uint32_t rkey,
-                                bool copy_bytes, device::MemcpyCallback on_done) {
-  WriteDesc flag = flag_desc;
-  if (flag.bytes > 0 && check::MutationEnabled(check::kSkipFlagWrite)) {
-    flag.bytes = 0;  // Seeded bug: the flag write is silently dropped.
+void TransferEngine::CutStripes(int lanes) {
+  // MTU-aligned contiguous stripes: each lane gets one disjoint range, so no
+  // two in-flight writes overlap (clean under the remote-race detector).
+  const WriteDesc whole = pieces_[0];
+  const uint64_t mtu = std::max<uint64_t>(1, device_->cost().rdma_mtu_bytes);
+  uint64_t per = (whole.bytes + lanes - 1) / lanes;
+  per = (per + mtu - 1) / mtu * mtu;
+  pieces_.clear();
+  for (uint64_t offset = 0; offset < whole.bytes; offset += per) {
+    WriteDesc stripe = whole;
+    stripe.local_addr = static_cast<uint8_t*>(whole.local_addr) + offset;
+    stripe.remote_addr += offset;
+    stripe.bytes = std::min(per, whole.bytes - offset);
+    runs_.emplace_back(pieces_.size(), pieces_.size() + 1);
+    pieces_.push_back(stripe);
   }
-  const bool flag_rides_in_list = flag.bytes > 0 &&
-                                  check::MutationEnabled(check::kFlagRidesInSgList) &&
-                                  flag.lkey == lkey && flag.rkey == rkey;
-  // Partition the flattened extents into contiguous, byte-balanced runs (one
-  // per stripe) without splitting any extent. stripe_bounds_ is hoisted
-  // scratch like gather_scratch_.
+}
+
+void TransferEngine::CutExtentRuns(int stripes) {
+  // Contiguous, byte-balanced runs (at most |stripes|) that never split an
+  // extent.
   uint64_t total = 0;
-  for (const rdma::SgExtent& e : gather_scratch_) total += e.length;
-  stripe_bounds_.clear();
+  for (const WriteDesc& piece : pieces_) total += piece.bytes;
   const uint64_t per_stripe = (total + stripes - 1) / stripes;
   size_t begin = 0;
   uint64_t run_bytes = 0;
-  for (size_t i = 0; i < gather_scratch_.size(); ++i) {
-    run_bytes += gather_scratch_[i].length;
-    const bool more_extents = i + 1 < gather_scratch_.size();
-    const bool stripes_left =
-        static_cast<int>(stripe_bounds_.size()) + 1 < stripes;
-    if (!more_extents || (run_bytes >= per_stripe && stripes_left &&
-                          gather_scratch_.size() - (i + 1) >=
-                              static_cast<size_t>(stripes) - stripe_bounds_.size() - 1)) {
-      stripe_bounds_.emplace_back(begin, i + 1);
+  for (size_t i = 0; i < pieces_.size(); ++i) {
+    run_bytes += pieces_[i].bytes;
+    const bool more_pieces = i + 1 < pieces_.size();
+    const bool stripes_left = static_cast<int>(runs_.size()) + 1 < stripes;
+    if (!more_pieces ||
+        (run_bytes >= per_stripe && stripes_left &&
+         pieces_.size() - (i + 1) >= static_cast<size_t>(stripes) - runs_.size() - 1)) {
+      runs_.emplace_back(begin, i + 1);
       begin = i + 1;
       run_bytes = 0;
     }
   }
-  const int num_wrs = static_cast<int>(stripe_bounds_.size());
+}
 
-  // Resolve every channel before posting anything (whole-or-nothing, like
-  // PostStriped).
-  const int lanes = LaneCountFor(remote);
-  std::vector<device::RdmaChannel*> channels;
-  channels.reserve(num_wrs);
-  for (int i = 0; i < num_wrs; ++i) {
-    auto channel_or = Channel(remote, num_wrs == 1 ? lane_hint % lanes : i % lanes);
-    if (!channel_or.ok()) {
-      FailAsync(std::move(on_done), channel_or.status());
-      return;
-    }
-    channels.push_back(*channel_or);
-  }
-  auto flag_channel_or = Channel(remote, lane_hint % lanes);
-  if (!flag_channel_or.ok()) {
-    FailAsync(std::move(on_done), flag_channel_or.status());
-    return;
-  }
-
-  ++stats_.gather_writes;
-  stats_.sg_wrs_posted += num_wrs;
-  stats_.sg_extents_posted += static_cast<int64_t>(gather_scratch_.size());
-
-  struct Join {
-    int pending = 0;
-    bool failed = false;
-    bool flag_posted = false;
-    device::MemcpyCallback on_done;
-    device::RdmaChannel* flag_channel = nullptr;
-    WriteDesc flag;
-  };
-  auto join = std::make_shared<Join>();
-  join->pending = num_wrs;
-  join->on_done = std::move(on_done);
-  join->flag_channel = *flag_channel_or;
-  join->flag = flag;
-  join->flag_posted = flag_rides_in_list;  // Mutated: no separate flag write.
-
-  for (int i = 0; i < num_wrs; ++i) {
-    const auto [lo, hi] = stripe_bounds_[i];
-    std::vector<rdma::SgExtent> stripe;
-    stripe.reserve(hi - lo + (i == 0 && flag_rides_in_list ? 1 : 0));
-    if (i == 0 && flag_rides_in_list) {
-      // Seeded bug (explorer self-validation): the completion flag rides as
-      // the FIRST extent of the first SG-WR. Extents land in list order, so
-      // the flag byte is readable while every sibling extent — and every
-      // other stripe — is still in flight.
-      stripe.push_back(rdma::SgExtent{reinterpret_cast<uint64_t>(join->flag.local_addr),
-                                      join->flag.remote_addr, join->flag.bytes});
-    }
-    stripe.insert(stripe.end(), gather_scratch_.begin() + lo, gather_scratch_.begin() + hi);
-    channels[i]->MemcpyScatter(
-        std::move(stripe), lkey, rkey,
-        [join](const Status& status) {
-          if (!status.ok() && !join->failed) {
-            join->failed = true;
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(status);
-            }
-          }
-          if (--join->pending > 0 || join->failed) return;
-          // Every SG-WR's wire completion has been observed: all extents'
-          // bytes are at the target, so the trailing flag — on any lane —
-          // cannot overtake them (§3.2, per extent).
-          if (join->flag.bytes == 0 || join->flag_posted) {
-            if (join->on_done) {
-              device::MemcpyCallback cb = std::move(join->on_done);
-              join->on_done = nullptr;
-              cb(OkStatus());
-            }
-            return;
-          }
-          join->flag_channel->Memcpy(join->flag.local_addr, join->flag.lkey,
-                                     join->flag.remote_addr, join->flag.rkey,
-                                     join->flag.bytes, device::Direction::kLocalToRemote,
-                                     std::move(join->on_done), join->flag.copy_bytes);
-          join->on_done = nullptr;
-        },
-        copy_bytes);
+void TransferEngine::Enqueue(const Endpoint& remote, PendingWrite write) {
+  PeerQueue& queue = queues_[remote];
+  queue.pending.push_back(std::move(write));
+  ++stats_.coalesced_writes;
+  if (static_cast<int>(queue.pending.size()) >= options_.max_coalesce_batch) {
+    Flush(remote, &queue);
+  } else if (!queue.flush_scheduled) {
+    queue.flush_scheduled = true;
+    const uint64_t gen = generation_;
+    const Endpoint rem = remote;
+    device_->simulator()->ScheduleAfter(kCoalesceWindowNs, [this, rem, gen]() {
+      if (gen != generation_) return;
+      auto it = queues_.find(rem);
+      if (it == queues_.end()) return;
+      it->second.flush_scheduled = false;
+      Flush(rem, &it->second);
+    });
   }
 }
 
@@ -444,50 +334,16 @@ void TransferEngine::Flush(const Endpoint& remote, PeerQueue* queue) {
   std::vector<device::RdmaChannel::BatchWrite> ops;
   ops.reserve(items.size() * 2);
   for (PendingWrite& item : items) {
-    auto state = std::make_shared<device::MemcpyCallback>(std::move(item.on_done));
-    device::RdmaChannel::BatchWrite payload_op;
-    payload_op.local_addr = item.payload.local_addr;
-    payload_op.lkey = item.payload.lkey;
-    payload_op.remote_addr = item.payload.remote_addr;
-    payload_op.rkey = item.payload.rkey;
-    payload_op.size = item.payload.bytes;
-    payload_op.copy_bytes = item.payload.copy_bytes;
-    if (item.flag.bytes == 0) {
-      // Flagless entry (the flag was mutated away): the payload completion
-      // is the one the caller sees.
-      payload_op.callback = [state](const Status& status) {
-        if (*state) {
-          device::MemcpyCallback cb = std::move(*state);
-          *state = nullptr;
-          cb(status);
-        }
-      };
-      ops.push_back(std::move(payload_op));
-      continue;
+    auto join = std::make_shared<Completion>();
+    join->on_done = std::move(item.on_done);
+    join->flag_posted = true;
+    for (const WriteDesc* w : {&item.payload, &item.flag}) {
+      if (w->bytes == 0) continue;  // Flagless: the payload completes the write.
+      ++join->pending;
+      ops.push_back(device::RdmaChannel::BatchWrite{w->local_addr, w->lkey, w->remote_addr,
+                                                    w->rkey, w->bytes, w->copy_bytes,
+                                                    Completion::Callback(join)});
     }
-    payload_op.callback = [state](const Status& status) {
-      if (!status.ok() && *state) {
-        device::MemcpyCallback cb = std::move(*state);
-        *state = nullptr;
-        cb(status);
-      }
-    };
-    device::RdmaChannel::BatchWrite flag_op;
-    flag_op.local_addr = item.flag.local_addr;
-    flag_op.lkey = item.flag.lkey;
-    flag_op.remote_addr = item.flag.remote_addr;
-    flag_op.rkey = item.flag.rkey;
-    flag_op.size = item.flag.bytes;
-    flag_op.copy_bytes = item.flag.copy_bytes;
-    flag_op.callback = [state](const Status& status) {
-      if (*state) {
-        device::MemcpyCallback cb = std::move(*state);
-        *state = nullptr;
-        cb(status);
-      }
-    };
-    ops.push_back(std::move(payload_op));
-    ops.push_back(std::move(flag_op));
   }
   (*channel_or)->MemcpyBatch(std::move(ops));
 }

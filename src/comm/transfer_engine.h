@@ -42,6 +42,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -61,16 +62,9 @@ struct TransferEngineOptions {
   // Writes of at least this many bytes are striped.
   uint64_t stripe_threshold_bytes = 4ull << 20;
 
-  // Doorbell coalescing for small writes.
+  // Doorbell coalescing for small single-piece writes (at most 8 KiB, held
+  // up to 400 ns for peers to join the batch).
   bool enable_coalescing = true;
-  // Writes of at most this many bytes are coalesced.
-  uint64_t coalesce_threshold_bytes = 8192;
-  // How long a queued write may wait for peers to join its batch. 0 flushes
-  // at the end of the current instant (same virtual timestamp), adding no
-  // latency but batching only tensors issued together; the default is under
-  // one wire latency, so lone senders lose less than a flight time while
-  // bursts of small tensors share one doorbell.
-  int64_t coalesce_window_ns = 400;
   // Flush immediately once a batch holds this many tensors.
   int max_coalesce_batch = 16;
 
@@ -90,9 +84,14 @@ class TransferEngine {
     bool copy_bytes = true;
   };
 
-  // How WriteWithFlag / WriteGather routed a request (callers keep their own
-  // stats). kScatterGather covers every multi-extent posting through
-  // WriteGather, whether it rode one SG-WR or one SG-WR per lane stripe.
+  // How Write routed a request (callers keep their own stats), and so where
+  // its flag goes:
+  //   kDirect        payload, then the flag FIFO behind it on one QP;
+  //   kStriped       one piece cut into MTU-aligned stripes across lanes,
+  //                  flag after their join;
+  //   kCoalesced     payload and flag interleaved in a doorbell chain;
+  //   kScatterGather several pieces as one SG-WR, or one per lane stripe,
+  //                  flag after their join.
   enum class Route { kDirect, kStriped, kCoalesced, kScatterGather };
 
   // Which memory the MR registration cache is fronting. Host and device
@@ -107,7 +106,7 @@ class TransferEngine {
     int64_t stripe_lane_writes = 0;  // Individual stripes posted.
     int64_t coalesced_writes = 0;
     int64_t coalesced_batches = 0;   // Doorbells rung for those writes.
-    int64_t gather_writes = 0;       // WriteGather requests routed as SG.
+    int64_t gather_writes = 0;       // Writes routed as SG.
     int64_t sg_wrs_posted = 0;       // SG work requests those rode in.
     int64_t sg_extents_posted = 0;   // Extents carried by those WRs.
     int64_t mr_cache_hits = 0;
@@ -132,27 +131,18 @@ class TransferEngine {
   TransferEngine(const TransferEngine&) = delete;
   TransferEngine& operator=(const TransferEngine&) = delete;
 
-  // Posts |payload| followed by its trailing |flag| byte toward |remote|,
-  // routing through the striped, coalesced, or direct path by size. The §3.2
-  // contract is preserved on every route: the flag lands only after the whole
-  // payload. |on_done| fires once, at the flag's completion or at the first
-  // error. |lane_hint| selects the QP lane for un-striped traffic (callers
-  // keep their existing lane discipline).
-  Route WriteWithFlag(const Endpoint& remote, const WriteDesc& payload,
-                      const WriteDesc& flag, int lane_hint, device::MemcpyCallback on_done);
-
-  // Multi-extent counterpart of WriteWithFlag: posts |extents| (which must
-  // all share one lkey/rkey pair — one registration domain, e.g. a GPU arena)
-  // followed by the trailing |flag| byte. A single extent falls back to
-  // WriteWithFlag's size-based routing. Multiple extents ride scatter/gather
-  // WRs: one SG-WR on |lane_hint| by default, or — when the payload clears
-  // the striping gate — one SG-WR per lane stripe (extents partitioned into
-  // contiguous, byte-balanced runs; extents are never split mid-extent). The
-  // flag is posted only after every SG-WR's completion, so §3.2 holds per
-  // extent: a receiver that sees the flag can trust every extent. |on_done|
-  // fires once, at the flag's completion or the first error.
-  Route WriteGather(const Endpoint& remote, const std::vector<WriteDesc>& extents,
-                    const WriteDesc& flag, int lane_hint, device::MemcpyCallback on_done);
+  // Posts |pieces| followed by the trailing |flag| byte toward |remote|. The
+  // pieces must share one lkey/rkey pair (one registration domain, e.g. a
+  // GPU arena); empty pieces are dropped. One non-empty piece routes by size:
+  // striped, coalesced or direct. Several ride scatter/gather WRs: one SG-WR
+  // on |lane_hint|, or, past the striping gate, one SG-WR per lane over
+  // contiguous byte-balanced runs that never split a piece. The §3.2 contract
+  // holds on every route: the flag lands only after every payload byte.
+  // |on_done| fires once, at the flag's completion or at the first error.
+  // |lane_hint| selects the QP lane for un-striped traffic (callers keep
+  // their existing lane discipline).
+  Route Write(const Endpoint& remote, std::span<const WriteDesc> pieces, const WriteDesc& flag,
+              int lane_hint, device::MemcpyCallback on_done);
 
   // Flushes every pending coalesced batch now (end of a step's issue phase).
   void FlushCoalesced();
@@ -215,15 +205,12 @@ class TransferEngine {
   // reconnects) the pooled lane; cache hits skip the pool lookup and rely on
   // the channel's own lazy reattach if its specific lane was since evicted.
   StatusOr<device::RdmaChannel*> Channel(const Endpoint& remote, int lane);
-  Route PostDirect(const Endpoint& remote, const WriteDesc& payload, const WriteDesc& flag,
-                   int lane_hint, device::MemcpyCallback on_done);
-  void PostStriped(const Endpoint& remote, const WriteDesc& payload, const WriteDesc& flag,
-                   int lane_hint, device::MemcpyCallback on_done);
-  // Posts the flattened gather_scratch_ extents as |stripes| SG-WRs (one per
-  // lane), then the flag after the last stripe's completion.
-  void PostGather(const Endpoint& remote, const WriteDesc& flag, int lane_hint, int stripes,
-                  uint32_t lkey, uint32_t rkey, bool copy_bytes,
-                  device::MemcpyCallback on_done);
+  // Cut pieces_ into runs_: the single piece into MTU-aligned stripes, one
+  // per lane; several pieces into at most |stripes| byte-balanced runs.
+  void CutStripes(int lanes);
+  void CutExtentRuns(int stripes);
+  // Queues a small write for its peer's next doorbell chain.
+  void Enqueue(const Endpoint& remote, PendingWrite write);
   void Flush(const Endpoint& remote, PeerQueue* queue);
   void FailAsync(device::MemcpyCallback on_done, Status status);
   int LaneCount() const;
@@ -246,13 +233,13 @@ class TransferEngine {
   int64_t epoch_ = 0;
   std::function<int(const Endpoint&)> lane_limit_resolver_;
 
-  // Hoisted scratch for the SG posting path (PR 5/6 style: reserve once,
-  // reuse every call, allocate nothing per extent on the steady state).
-  // gather_scratch_ holds the flattened extent list while WriteGather plans
-  // stripes; stripe_bounds_ holds the [begin, end) extent index of each
-  // stripe. Both are cleared, never shrunk.
-  std::vector<rdma::SgExtent> gather_scratch_;
-  std::vector<std::pair<size_t, size_t>> stripe_bounds_;
+  // Hoisted planner scratch (reserve once, reuse every call, so the steady
+  // state allocates nothing per piece): the non-empty pieces, or a striped
+  // piece's stripes; the [begin, end) piece range of each work request; and
+  // each work request's channel.
+  std::vector<WriteDesc> pieces_;
+  std::vector<std::pair<size_t, size_t>> runs_;
+  std::vector<device::RdmaChannel*> channels_;
 };
 
 }  // namespace comm

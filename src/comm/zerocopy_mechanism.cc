@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "src/check/mutation.h"
 #include "src/check/rdma_check.h"
@@ -733,14 +735,15 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   flag.rkey = s->remote_flag.rkey;
   flag.bytes = 1;
   flag.copy_bytes = true;
+  std::span<const TransferEngine::WriteDesc> pieces(&payload, 1);
+  std::vector<TransferEngine::WriteDesc> extents;
   if (s->device_route && options_.gdr_sg_extent_bytes > 0 &&
       bytes > options_.gdr_sg_extent_bytes) {
     // Device route: carve the payload into SG extents and let the engine post
     // them as one scatter/gather WR per lane stripe — one doorbell and one
-    // CQE per stripe instead of one per extent. The flag trails the last
-    // extent of the last stripe (§3.2, per extent).
+    // CQE per stripe instead of one per extent. The flag is posted once every
+    // SG-WR has completed (§3.2, per extent).
     const uint64_t chunk = options_.gdr_sg_extent_bytes;
-    std::vector<TransferEngine::WriteDesc> extents;
     extents.reserve(static_cast<size_t>((bytes + chunk - 1) / chunk));
     for (uint64_t off = 0; off < bytes; off += chunk) {
       TransferEngine::WriteDesc e = payload;
@@ -749,17 +752,12 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
       e.bytes = std::min(chunk, bytes - off);
       extents.push_back(e);
     }
-    const TransferEngine::Route route = engine_for(s->src)->WriteGather(
-        s->dst->endpoint(), extents, flag, s->qp_index,
-        [cb = std::move(on_sent)](const Status& status) { cb(status); });
-    if (route == TransferEngine::Route::kScatterGather) ++stats_.sg_sends;
-    if (route == TransferEngine::Route::kStriped) ++stats_.striped_sends;
-    if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
-    return;
+    pieces = extents;
   }
-  const TransferEngine::Route route = engine_for(s->src)->WriteWithFlag(
-      s->dst->endpoint(), payload, flag, s->qp_index,
+  const TransferEngine::Route route = engine_for(s->src)->Write(
+      s->dst->endpoint(), pieces, flag, s->qp_index,
       [cb = std::move(on_sent)](const Status& status) { cb(status); });
+  if (route == TransferEngine::Route::kScatterGather) ++stats_.sg_sends;
   if (route == TransferEngine::Route::kStriped) ++stats_.striped_sends;
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
 }
@@ -805,8 +803,8 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
   flag.rkey = s->remote_meta.rkey;
   flag.bytes = 1;
   flag.copy_bytes = true;
-  const TransferEngine::Route route = engine_for(s->src)->WriteWithFlag(
-      s->dst->endpoint(), body, flag, s->qp_index,
+  const TransferEngine::Route route = engine_for(s->src)->Write(
+      s->dst->endpoint(), {&body, 1}, flag, s->qp_index,
       [cb = std::move(on_sent)](const Status& status) { cb(status); });
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
 }

@@ -180,8 +180,8 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   Status SetupEdge(EdgeState* state);
   // Static protocol: payload write followed by the flag-byte write, on the
   // same QP. |src_ptr| must lie inside a registered arena covered by |lkey|.
-  // Device-route edges carve the payload into SG extents and post through
-  // TransferEngine::WriteGather instead (one doorbell per lane stripe).
+  // Device-route edges carve the payload into SG extents and post them as
+  // one multi-piece TransferEngine::Write (one doorbell per lane stripe).
   void PostWrites(EdgeState* state, const void* src_ptr, uint32_t lkey, uint64_t bytes,
                   std::function<void(Status)> on_sent);
   // Dynamic protocol: metadata write with the tail flag as its last byte.

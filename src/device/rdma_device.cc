@@ -115,18 +115,7 @@ void RdmaChannel::Memcpy(uint64_t local_addr, const MemRegion& local_region,
 void RdmaChannel::Memcpy(void* local_addr, uint32_t lkey, uint64_t remote_addr, uint32_t rkey,
                          uint64_t size, Direction direction, MemcpyCallback callback,
                          bool copy_bytes) {
-  if (qp_ == nullptr) {
-    // Pool evicted this lane since the caller cached the channel; reconnect.
-    Status attached = device_->AttachLane(this);
-    if (!attached.ok()) {
-      device_->simulator()->ScheduleAfter(
-          0, [cb = std::move(callback), attached]() { cb(attached); });
-      return;
-    }
-  }
   rdma::SendWorkRequest wr;
-  wr.copy_bytes = copy_bytes;
-  wr.wr_id = device_->next_wr_id_++;
   wr.opcode = (direction == Direction::kLocalToRemote) ? rdma::Opcode::kWrite
                                                        : rdma::Opcode::kRead;
   wr.local_addr = reinterpret_cast<uint64_t>(local_addr);
@@ -134,133 +123,68 @@ void RdmaChannel::Memcpy(void* local_addr, uint32_t lkey, uint64_t remote_addr, 
   wr.length = size;
   wr.remote_addr = remote_addr;
   wr.rkey = rkey;
-  device_->pending_sends_[wr.wr_id] = std::move(callback);
-  Status s = qp_->PostSend(wr);
-  if (!s.ok()) {
-    auto it = device_->pending_sends_.find(wr.wr_id);
-    MemcpyCallback cb = std::move(it->second);
-    device_->pending_sends_.erase(it);
-    // Deliver the failure asynchronously for a uniform contract.
-    device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), s]() { cb(s); });
-    return;
-  }
-  if (device_->memcpy_timeout_ns_ > 0) {
-    RdmaDevice* dev = device_;
-    const uint64_t wr_id = wr.wr_id;
-    dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
-      auto it = dev->pending_sends_.find(wr_id);
-      if (it == dev->pending_sends_.end()) return;  // Completed in time.
-      MemcpyCallback cb = std::move(it->second);
-      dev->pending_sends_.erase(it);
-      dev->abandoned_wr_ids_.insert(wr_id);
-      cb(DeadlineExceeded("RDMA memcpy timed out"));
-    });
-  }
+  wr.copy_bytes = copy_bytes;
+  Post({&wr, 1}, {&callback, 1});
 }
 
 void RdmaChannel::MemcpyBatch(std::vector<BatchWrite> writes) {
   if (writes.empty()) return;
-  if (qp_ == nullptr) {
-    Status attached = device_->AttachLane(this);
-    if (!attached.ok()) {
-      for (BatchWrite& w : writes) {
-        if (!w.callback) continue;
-        device_->simulator()->ScheduleAfter(
-            0, [cb = std::move(w.callback), attached]() { cb(attached); });
-      }
-      return;
-    }
+  std::vector<rdma::SendWorkRequest> wrs(writes.size());
+  std::vector<MemcpyCallback> callbacks(writes.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const BatchWrite& w = writes[i];
+    wrs[i].local_addr = reinterpret_cast<uint64_t>(w.local_addr);
+    wrs[i].lkey = w.lkey;
+    wrs[i].length = w.size;
+    wrs[i].remote_addr = w.remote_addr;
+    wrs[i].rkey = w.rkey;
+    wrs[i].copy_bytes = w.copy_bytes;
+    callbacks[i] = std::move(writes[i].callback);
   }
-  std::vector<rdma::SendWorkRequest> wrs;
-  wrs.reserve(writes.size());
-  std::vector<uint64_t> wr_ids;
-  wr_ids.reserve(writes.size());
-  for (BatchWrite& w : writes) {
-    rdma::SendWorkRequest wr;
-    wr.wr_id = device_->next_wr_id_++;
-    wr.opcode = rdma::Opcode::kWrite;
-    wr.local_addr = reinterpret_cast<uint64_t>(w.local_addr);
-    wr.lkey = w.lkey;
-    wr.length = w.size;
-    wr.remote_addr = w.remote_addr;
-    wr.rkey = w.rkey;
-    wr.copy_bytes = w.copy_bytes;
-    wrs.push_back(wr);
-    wr_ids.push_back(wr.wr_id);
-    device_->pending_sends_[wr.wr_id] = std::move(w.callback);
-  }
-  Status s = qp_->PostSendBatch(std::move(wrs));
-  if (!s.ok()) {
-    // Whole-batch post failure: deliver it to every entry, asynchronously for
-    // a uniform contract.
-    for (uint64_t wr_id : wr_ids) {
-      auto it = device_->pending_sends_.find(wr_id);
-      if (it == device_->pending_sends_.end()) continue;
-      MemcpyCallback cb = std::move(it->second);
-      device_->pending_sends_.erase(it);
-      if (cb) {
-        device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), s]() { cb(s); });
-      }
-    }
-    return;
-  }
-  if (device_->memcpy_timeout_ns_ > 0) {
-    RdmaDevice* dev = device_;
-    for (uint64_t wr_id : wr_ids) {
-      dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
-        auto it = dev->pending_sends_.find(wr_id);
-        if (it == dev->pending_sends_.end()) return;  // Completed in time.
-        MemcpyCallback cb = std::move(it->second);
-        dev->pending_sends_.erase(it);
-        dev->abandoned_wr_ids_.insert(wr_id);
-        if (cb) cb(DeadlineExceeded("RDMA memcpy timed out"));
-      });
-    }
-  }
+  Post(wrs, callbacks);
 }
 
 void RdmaChannel::MemcpyScatter(std::vector<rdma::SgExtent> extents, uint32_t lkey,
                                 uint32_t rkey, MemcpyCallback callback, bool copy_bytes) {
   if (extents.empty()) {
-    device_->simulator()->ScheduleAfter(
-        0, [cb = std::move(callback)]() { cb(InvalidArgument("empty SG extent list")); });
+    FailAsync({&callback, 1}, InvalidArgument("empty SG extent list"));
     return;
   }
-  if (qp_ == nullptr) {
-    Status attached = device_->AttachLane(this);
-    if (!attached.ok()) {
-      device_->simulator()->ScheduleAfter(
-          0, [cb = std::move(callback), attached]() { cb(attached); });
-      return;
-    }
-  }
   rdma::SendWorkRequest wr;
-  wr.wr_id = device_->next_wr_id_++;
-  wr.opcode = rdma::Opcode::kWrite;
   wr.lkey = lkey;
   wr.rkey = rkey;
   wr.copy_bytes = copy_bytes;
   wr.sge = std::move(extents);
-  device_->pending_sends_[wr.wr_id] = std::move(callback);
-  const uint64_t wr_id = wr.wr_id;
-  Status s = qp_->PostSend(wr);
-  if (!s.ok()) {
-    auto it = device_->pending_sends_.find(wr_id);
-    MemcpyCallback cb = std::move(it->second);
-    device_->pending_sends_.erase(it);
-    device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), s]() { cb(s); });
-    return;
+  Post({&wr, 1}, {&callback, 1});
+}
+
+void RdmaChannel::Post(std::span<rdma::SendWorkRequest> wrs,
+                       std::span<MemcpyCallback> callbacks) {
+  // A null qp_ means the pool evicted this lane since the caller cached the
+  // channel: reconnect before posting.
+  Status status = qp_ == nullptr ? device_->AttachLane(this) : OkStatus();
+  if (status.ok()) {
+    for (size_t i = 0; i < wrs.size(); ++i) {
+      wrs[i].wr_id = device_->next_wr_id_++;
+      device_->pending_sends_[wrs[i].wr_id] = std::move(callbacks[i]);
+    }
+    status = wrs.size() == 1 ? qp_->PostSend(wrs[0])
+                             : qp_->PostSendBatch({wrs.begin(), wrs.end()});
+    if (status.ok()) return;
+    for (size_t i = 0; i < wrs.size(); ++i) {
+      auto it = device_->pending_sends_.find(wrs[i].wr_id);
+      callbacks[i] = std::move(it->second);
+      device_->pending_sends_.erase(it);
+    }
   }
-  if (device_->memcpy_timeout_ns_ > 0) {
-    RdmaDevice* dev = device_;
-    dev->simulator()->ScheduleAfter(dev->memcpy_timeout_ns_, [dev, wr_id]() {
-      auto it = dev->pending_sends_.find(wr_id);
-      if (it == dev->pending_sends_.end()) return;  // Completed in time.
-      MemcpyCallback cb = std::move(it->second);
-      dev->pending_sends_.erase(it);
-      dev->abandoned_wr_ids_.insert(wr_id);
-      if (cb) cb(DeadlineExceeded("RDMA memcpy timed out"));
-    });
+  FailAsync(callbacks, status);
+}
+
+void RdmaChannel::FailAsync(std::span<MemcpyCallback> callbacks, const Status& status) {
+  // Delivered asynchronously, like every completion, for a uniform contract.
+  for (MemcpyCallback& cb : callbacks) {
+    if (!cb) continue;
+    device_->simulator()->ScheduleAfter(0, [cb = std::move(cb), status]() { cb(status); });
   }
 }
 
@@ -458,7 +382,7 @@ void RdmaDevice::DrainCq(rdma::CompletionQueue* cq) {
     if (pending_it != pending_sends_.end()) {
       MemcpyCallback cb = std::move(pending_it->second);
       pending_sends_.erase(pending_it);
-      cb(wc.status);
+      if (cb) cb(wc.status);
       continue;
     }
     auto slot_it = rpc_send_slots_.find(wc.wr_id);
@@ -469,9 +393,6 @@ void RdmaDevice::DrainCq(rdma::CompletionQueue* cq) {
         LOG(ERROR) << "RPC send completion error: " << wc.status;
       }
       continue;
-    }
-    if (abandoned_wr_ids_.erase(wc.wr_id) > 0) {
-      continue;  // Late completion of a timed-out Memcpy; already reported.
     }
     LOG(WARNING) << "orphan completion wr_id=" << wc.wr_id;
   }

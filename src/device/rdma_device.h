@@ -21,9 +21,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/rdma/qp_pool.h"
@@ -93,7 +93,8 @@ class RdmaChannel {
  public:
   // Asynchronously copies |size| bytes between |local_addr| (inside
   // |local_region|) and |remote_addr| (inside |remote|). |callback| fires,
-  // in virtual time, when the verb completes locally.
+  // in virtual time, when the verb completes locally. On every Memcpy*
+  // entry point a null callback is allowed: that completion is skipped.
   void Memcpy(uint64_t local_addr, const MemRegion& local_region, uint64_t remote_addr,
               const RemoteRegion& remote, uint64_t size, Direction direction,
               MemcpyCallback callback);
@@ -113,7 +114,7 @@ class RdmaChannel {
     uint32_t rkey = 0;
     uint64_t size = 0;      // Must be > 0.
     bool copy_bytes = true;
-    MemcpyCallback callback;  // Fires at that entry's completion.
+    MemcpyCallback callback;  // Fires at that entry's completion; may be null.
   };
 
   // Posts every entry as one doorbell-chained RDMA-write WQE list: the
@@ -139,6 +140,14 @@ class RdmaChannel {
   friend class RdmaDevice;
   RdmaChannel(RdmaDevice* device, Endpoint remote, int qp_index, rdma::QueuePair* qp)
       : device_(device), remote_(remote), qp_index_(qp_index), qp_(qp) {}
+
+  // The one post path under every Memcpy* builder: re-attaches an evicted
+  // lane, registers callbacks[i] under a fresh wr_id for wrs[i], posts one WR
+  // singly or several as one doorbell chain, and on an attach or post
+  // failure hands the status to every callback.
+  void Post(std::span<rdma::SendWorkRequest> wrs, std::span<MemcpyCallback> callbacks);
+  // Delivers |status| to every non-null callback at the current instant.
+  void FailAsync(std::span<MemcpyCallback> callbacks, const Status& status);
 
   RdmaDevice* device_;
   Endpoint remote_;
@@ -217,12 +226,6 @@ class RdmaDevice {
   // destructor before any of its members go away. Not for use mid-run.
   void DropPendingCallbacks();
 
-  // Watchdog for RdmaChannel::Memcpy: a callback still pending after this
-  // much virtual time fires with kDeadlineExceeded and the eventual late
-  // completion (if any) is discarded. 0 = disabled (default).
-  void set_memcpy_timeout_ns(int64_t timeout_ns) { memcpy_timeout_ns_ = timeout_ns; }
-  int64_t memcpy_timeout_ns() const { return memcpy_timeout_ns_; }
-
   const Endpoint& endpoint() const { return local_; }
   rdma::QpPool* qp_pool() const { return directory_->qp_pool(); }
   rdma::NicDevice* nic() const { return nic_; }
@@ -286,13 +289,9 @@ class RdmaDevice {
   uint64_t next_wr_id_ = 1;
   uint64_t next_call_id_ = 1;
 
-  int64_t memcpy_timeout_ns_ = 0;
-
   std::vector<rdma::CompletionQueue*> cqs_;
   std::map<Endpoint, PeerConnection> peers_;
   std::unordered_map<uint64_t, MemcpyCallback> pending_sends_;
-  // Memcpys whose timeout already fired; their late completions are dropped.
-  std::unordered_set<uint64_t> abandoned_wr_ids_;
   // Outstanding RPC recv WRs per rpc_qp (qp_num -> count), so recovery knows
   // how many flushed buffers to repost.
   std::unordered_map<uint32_t, int> rpc_recv_posted_;

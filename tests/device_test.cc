@@ -4,12 +4,15 @@
 #include <numeric>
 #include <vector>
 
+#include "src/check/testing.h"
 #include "src/device/rdma_device.h"
 #include "src/sim/fault.h"
 
 namespace rdmadl {
 namespace device {
 namespace {
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 class DeviceTest : public ::testing::Test {
  protected:
@@ -212,6 +215,35 @@ TEST_F(DeviceTest, ChannelsOnDifferentQpsTransferConcurrently) {
   }
   ASSERT_TRUE(simulator_.Run().ok());
   EXPECT_EQ(completions, 2);
+}
+
+TEST_F(DeviceTest, BatchEntryWithoutCallbackCompletesSilently) {
+  auto a = MakeDevice(0, 7000);
+  auto b = MakeDevice(1, 7000);
+  auto src = a->AllocateMemRegion(512);
+  auto dst = b->AllocateMemRegion(512);
+  ASSERT_TRUE(src.ok() && dst.ok());
+  std::iota(src->data(), src->data() + 512, 0);
+  std::memset(dst->data(), 0, 512);
+
+  auto chan = a->GetChannel(Endpoint{1, 7000}, 0);
+  ASSERT_TRUE(chan.ok());
+  // A null callback is allowed on any entry: its completion is skipped, and
+  // the rest of the chain completes as usual.
+  std::vector<RdmaChannel::BatchWrite> writes(2);
+  for (int i = 0; i < 2; ++i) {
+    writes[i].local_addr = src->data() + i * 256;
+    writes[i].lkey = src->lkey();
+    writes[i].remote_addr = dst->Remote().addr + i * 256;
+    writes[i].rkey = dst->rkey();
+    writes[i].size = 256;
+  }
+  Status second = Internal("not called");
+  writes[1].callback = [&](const Status& s) { second = s; };
+  (*chan)->MemcpyBatch(std::move(writes));
+  ASSERT_TRUE(simulator_.Run().ok());
+  EXPECT_TRUE(second.ok()) << second;
+  EXPECT_EQ(std::memcmp(src->data(), dst->data(), 512), 0);
 }
 
 TEST_F(DeviceTest, RpcCallInvokesRemoteHandler) {

@@ -287,11 +287,11 @@ check::WorkloadBody StripedFlagBody() {
                                          dst_flag->Remote().addr, dst_flag->rkey(), 1, true};
     // The flag rides lane 1: lane 0 owns the dropped stripe, and a flag
     // queued on that QP would serialize behind the retry and hide the bug.
-    engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, /*lane_hint=*/1,
-                         [done, result](const Status& status) {
-                           *done = true;
-                           if (!status.ok()) *result = status;
-                         });
+    engine.Write(dst_dev->endpoint(), {&payload, 1}, flag, /*lane_hint=*/1,
+                 [done, result](const Status& status) {
+                   *done = true;
+                   if (!status.ok()) *result = status;
+                 });
     Status run = s.RunUntilPredicate([done, poller] { return *done && poller->trusted; });
     if (!run.ok()) return run;
     return *result;
@@ -321,7 +321,7 @@ TEST(MutationTest, ExplorerCatchesFlagPostedBeforeLastStripe) {
   EXPECT_FALSE(clean.failure_found) << clean.Summary();
 }
 
-// Multi-extent WriteGather posting with the flag byte carved from the same
+// Multi-piece Write posting with the flag byte carved from the same
 // registration domain as the payload. Correct code posts the flag as its own
 // write after every SG-WR completes; the kFlagRidesInSgList mutation smuggles
 // it into the SG list as the FIRST extent, where sibling extents land after
@@ -365,11 +365,11 @@ check::WorkloadBody GatherFlagBody() {
                                          dst->Remote().addr + kBytes, dst->rkey(), 1, true};
     auto done = std::make_shared<bool>(false);
     auto result = std::make_shared<Status>(OkStatus());
-    engine.WriteGather(dst_dev->endpoint(), extents, flag, /*lane_hint=*/0,
-                       [done, result](const Status& status) {
-                         *done = true;
-                         if (!status.ok()) *result = status;
-                       });
+    engine.Write(dst_dev->endpoint(), extents, flag, /*lane_hint=*/0,
+                 [done, result](const Status& status) {
+                   *done = true;
+                   if (!status.ok()) *result = status;
+                 });
     Status run = s.RunUntilPredicate([done, poller] { return *done && poller->trusted; });
     if (!run.ok()) return run;
     return *result;

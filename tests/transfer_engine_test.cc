@@ -116,8 +116,8 @@ TEST(TransferEngineTest, StripedWriteReassemblesExactlyAndFlagTrailsPayload) {
   bool stop = false;
   Status result = Internal("callback never fired");
   auto inv = WatchFlag(&world, dst_flag->data(), dst->data(), src->data(), kBytes, &stop);
-  TransferEngine::Route route = engine.WriteWithFlag(
-      dst_dev->endpoint(), payload, flag, /*lane_hint=*/0, [&](const Status& s) {
+  TransferEngine::Route route = engine.Write(
+      dst_dev->endpoint(), {&payload, 1}, flag, /*lane_hint=*/0, [&](const Status& s) {
         done = true;
         result = s;
       });
@@ -172,8 +172,8 @@ TEST(TransferEngineTest, CoalescedBatchSharesOneDoorbellAndKeepsFlagSemantics) {
     TransferEngine::WriteDesc flag{src_flag->data(), src_flag->lkey(),
                                    dst_flags->Remote().addr + i, dst_flags->rkey(), 1,
                                    /*copy_bytes=*/true};
-    TransferEngine::Route route = engine.WriteWithFlag(
-        dst_dev->endpoint(), payload, flag, /*lane_hint=*/i, [&](const Status& s) {
+    TransferEngine::Route route = engine.Write(
+        dst_dev->endpoint(), {&payload, 1}, flag, /*lane_hint=*/i, [&](const Status& s) {
           EXPECT_TRUE(s.ok()) << s;
           ++completions;
         });
@@ -214,7 +214,7 @@ TEST(TransferEngineTest, CoalesceFlushesImmediatelyAtMaxBatch) {
                                       /*copy_bytes=*/true};
     TransferEngine::WriteDesc flag{src->data(), src->lkey(), dst->Remote().addr + 512 + i,
                                    dst->rkey(), 1, /*copy_bytes=*/true};
-    engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, 0, nullptr);
+    engine.Write(dst_dev->endpoint(), {&payload, 1}, flag, 0, nullptr);
   }
   // The second enqueue hits max_coalesce_batch and flushes synchronously,
   // without waiting for the coalesce window.
@@ -238,8 +238,8 @@ TEST(TransferEngineTest, ResetTransientStateDropsQueuedWritesWithoutCallbacks) {
                                     64, /*copy_bytes=*/true};
   TransferEngine::WriteDesc flag{src->data(), src->lkey(), dst->Remote().addr + 512,
                                  dst->rkey(), 1, /*copy_bytes=*/true};
-  engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, 0,
-                       [&](const Status&) { fired = true; });
+  engine.Write(dst_dev->endpoint(), {&payload, 1}, flag, 0,
+               [&](const Status&) { fired = true; });
   engine.ResetTransientState();
   ASSERT_TRUE(world.simulator.Run().ok());
   // The queued write was dropped before its window flush; the stale flush
@@ -334,10 +334,10 @@ TEST(TransferEngineTest, TeardownDeregistersCachedRegions) {
 }
 
 // ---------------------------------------------------------------------------
-// WriteGather: multi-extent postings as scatter/gather WRs.
+// Multi-piece writes: postings as scatter/gather WRs.
 // ---------------------------------------------------------------------------
 
-TEST(TransferEngineTest, WriteGatherRidesOneSgWrAndFlagTrailsEveryExtent) {
+TEST(TransferEngineTest, GatherWriteRidesOneSgWrAndFlagTrailsEveryExtent) {
   World world;
   auto src_dev = world.MakeDevice(0);
   auto dst_dev = world.MakeDevice(1);
@@ -372,11 +372,10 @@ TEST(TransferEngineTest, WriteGatherRidesOneSgWrAndFlagTrailsEveryExtent) {
   // (every extent) already landed.
   auto inv = WatchFlag(&world, dst_flag->data(), dst->data(), src->data(), kBytes, &stop);
   TransferEngine::Route route =
-      engine.WriteGather(dst_dev->endpoint(), extents, flag, /*lane_hint=*/0,
-                         [&](const Status& s) {
-                           done = true;
-                           result = s;
-                         });
+      engine.Write(dst_dev->endpoint(), extents, flag, /*lane_hint=*/0, [&](const Status& s) {
+        done = true;
+        result = s;
+      });
   EXPECT_EQ(route, TransferEngine::Route::kScatterGather);
   ASSERT_TRUE(world.simulator.RunUntilPredicate([&] { return done; }).ok());
   ASSERT_TRUE(world.simulator.RunUntil(world.simulator.Now() + 1000).ok());
@@ -393,7 +392,7 @@ TEST(TransferEngineTest, WriteGatherRidesOneSgWrAndFlagTrailsEveryExtent) {
   EXPECT_EQ(src_dev->nic()->stats().sg_extents, static_cast<uint64_t>(kExtents));
 }
 
-TEST(TransferEngineTest, WriteGatherStripesSgWrsAcrossLanesWhenEngineRateModeled) {
+TEST(TransferEngineTest, GatherWriteStripesSgWrsAcrossLanesWhenEngineRateModeled) {
   net::CostModel cost;
   cost.rdma_qp_engine_bytes_per_sec = 12e9;  // Striping gate needs a finite rate.
   World world(cost);
@@ -426,7 +425,7 @@ TEST(TransferEngineTest, WriteGatherStripesSgWrsAcrossLanesWhenEngineRateModeled
   bool done = false;
   bool stop = false;
   auto inv = WatchFlag(&world, dst_flag->data(), dst->data(), src->data(), kBytes, &stop);
-  TransferEngine::Route route = engine.WriteGather(
+  TransferEngine::Route route = engine.Write(
       dst_dev->endpoint(), extents, flag, /*lane_hint=*/0,
       [&](const Status& s) { done = s.ok(); });
   EXPECT_EQ(route, TransferEngine::Route::kScatterGather);
@@ -451,7 +450,7 @@ TEST(TransferEngineTest, GatherPostingMatchesMultiWrPostingByteForByte) {
   constexpr uint64_t kExtentBytes = 64 << 10;
   constexpr uint64_t kBytes = kExtents * kExtentBytes;
 
-  // |mode| 0: one WriteGather posting. |mode| 1: one WR per extent, flag
+  // |mode| 0: one multi-piece Write. |mode| 1: one WR per extent, flag
   // last. Returns the delivered payload; |json| (optional) gets the trace.
   auto run = [&](int mode, std::string* json) {
     sim::Tracer tracer;
@@ -486,8 +485,8 @@ TEST(TransferEngineTest, GatherPostingMatchesMultiWrPostingByteForByte) {
         TransferEngine::WriteDesc flag{src_flag->data(), src_flag->lkey(),
                                        dst_flag->Remote().addr, dst_flag->rkey(), 1,
                                        /*copy_bytes=*/true};
-        engine.WriteGather(dst_dev->endpoint(), extents, flag, /*lane_hint=*/0,
-                           [&](const Status& s) { done = s.ok(); });
+        engine.Write(dst_dev->endpoint(), extents, flag, /*lane_hint=*/0,
+                     [&](const Status& s) { done = s.ok(); });
       } else {
         auto chan = src_dev->GetChannel(dst_dev->endpoint(), /*qp_idx=*/0);
         CHECK(chan.ok()) << chan.status();
@@ -527,7 +526,7 @@ TEST(TransferEngineTest, GatherPostingMatchesMultiWrPostingByteForByte) {
   EXPECT_EQ(first_trace, second_trace);  // Same seed, same schedule.
 }
 
-TEST(TransferEngineTest, WriteGatherRejectsMixedRegistrationKeys) {
+TEST(TransferEngineTest, GatherWriteRejectsMixedRegistrationKeys) {
   World world;
   auto src_dev = world.MakeDevice(0);
   auto dst_dev = world.MakeDevice(1);
@@ -547,13 +546,239 @@ TEST(TransferEngineTest, WriteGatherRejectsMixedRegistrationKeys) {
                                  dst->rkey(), 1, true};
   bool done = false;
   Status result = OkStatus();
-  engine.WriteGather(dst_dev->endpoint(), extents, flag, 0, [&](const Status& s) {
+  engine.Write(dst_dev->endpoint(), extents, flag, 0, [&](const Status& s) {
     done = true;
     result = s;
   });
   ASSERT_TRUE(world.simulator.RunUntilPredicate([&] { return done; }).ok());
   EXPECT_EQ(result.code(), StatusCode::kInvalidArgument);
 }
+
+// ---------------------------------------------------------------------------
+// Route planner decision table: every combination of piece count, payload
+// size, engine rate and lane cap, checked for the route, the engine and NIC
+// counters it moves, and the lane that carries the flag.
+// ---------------------------------------------------------------------------
+
+enum class PieceCount { kNone, kOne, kMany, kOneAmongEmpties };
+enum class PayloadSize { kBelowCoalesce, kMid, kAboveStripe };
+
+struct PlanCase {
+  PieceCount pieces;
+  PayloadSize size;
+  bool finite_engine_rate;
+  int lane_cap;  // 1 caps every destination at one lane; 0 leaves all four.
+};
+
+constexpr int kPlanLanes = 4;
+constexpr int kPlanLaneHint = 3;
+constexpr int kPlanManyPieces = 4;
+constexpr uint64_t kPlanStripeThreshold = 256 << 10;
+
+uint64_t PlanBytes(PayloadSize size) {
+  switch (size) {
+    case PayloadSize::kBelowCoalesce:
+      return 4 << 10;
+    case PayloadSize::kMid:
+      return 64 << 10;
+    case PayloadSize::kAboveStripe:
+      return 1 << 20;
+  }
+  return 0;
+}
+
+// What the planner must do with |c|, as the decision table reads.
+struct PlanOutcome {
+  TransferEngine::Route route;
+  TransferEngine::Stats engine;  // Deltas.
+  uint64_t writes = 0;
+  uint64_t sg_writes = 0;
+  uint64_t sg_extents = 0;
+  uint64_t doorbell_batches = 0;
+  int flag_lane = 0;
+};
+
+PlanOutcome ExpectedOutcome(const PlanCase& c) {
+  using Route = TransferEngine::Route;
+  const int lanes = c.lane_cap == 1 ? 1 : kPlanLanes;
+  const bool stripe =
+      c.size == PayloadSize::kAboveStripe && c.finite_engine_rate && lanes > 1;
+  PlanOutcome out;
+  if (c.pieces == PieceCount::kNone) {
+    // Flag only, FIFO on the hinted lane.
+    out.route = Route::kDirect;
+    out.engine.direct_writes = 1;
+    out.writes = 1;
+    out.flag_lane = kPlanLaneHint;
+  } else if (c.pieces == PieceCount::kMany) {
+    // SG-WRs (one per lane when striping), flag after their join on the
+    // hinted lane modulo the capped lane count.
+    const int wrs = stripe ? kPlanManyPieces : 1;
+    out.route = Route::kScatterGather;
+    out.engine.gather_writes = 1;
+    out.engine.sg_wrs_posted = wrs;
+    out.engine.sg_extents_posted = kPlanManyPieces;
+    out.writes = wrs + 1;
+    out.sg_writes = wrs;
+    out.sg_extents = kPlanManyPieces;
+    out.flag_lane = kPlanLaneHint % lanes;
+  } else if (stripe) {
+    // One MTU-aligned stripe per lane, flag after their join.
+    out.route = Route::kStriped;
+    out.engine.striped_writes = 1;
+    out.engine.stripe_lane_writes = kPlanLanes;
+    out.writes = kPlanLanes + 1;
+    out.flag_lane = kPlanLaneHint % lanes;
+  } else if (c.size == PayloadSize::kBelowCoalesce) {
+    // Payload and flag interleaved in the first batch, on lane 0.
+    out.route = Route::kCoalesced;
+    out.engine.coalesced_writes = 1;
+    out.engine.coalesced_batches = 1;
+    out.writes = 2;
+    out.doorbell_batches = 1;
+    out.flag_lane = 0;
+  } else {
+    // Payload then flag, FIFO on the hinted lane (never capped).
+    out.route = Route::kDirect;
+    out.engine.direct_writes = 1;
+    out.writes = 2;
+    out.flag_lane = kPlanLaneHint;
+  }
+  return out;
+}
+
+class RoutePlanTest : public ::testing::TestWithParam<PlanCase> {};
+
+TEST_P(RoutePlanTest, RouteCountersAndFlagLaneMatchTheTable) {
+  const PlanCase c = GetParam();
+  const PlanOutcome want = ExpectedOutcome(c);
+  net::CostModel cost;
+  cost.rdma_qp_engine_bytes_per_sec = c.finite_engine_rate ? 12e9 : 0.0;
+  World world(cost);
+  auto src_dev = world.MakeDevice(0, kPlanLanes);
+  auto dst_dev = world.MakeDevice(1, kPlanLanes);
+
+  const uint64_t bytes = PlanBytes(c.size);
+  auto src = src_dev->AllocateMemRegion(bytes);
+  auto dst = dst_dev->AllocateMemRegion(bytes);
+  auto src_flag = src_dev->AllocateMemRegion(1);
+  auto dst_flag = dst_dev->AllocateMemRegion(1);
+  ASSERT_TRUE(src.ok() && dst.ok() && src_flag.ok() && dst_flag.ok());
+  for (uint64_t i = 0; i < bytes; ++i) src->data()[i] = static_cast<uint8_t>(i * 7 + 1);
+  src_flag->data()[0] = 1;
+
+  TransferEngineOptions options;
+  options.stripe_threshold_bytes = kPlanStripeThreshold;
+  TransferEngine engine(src_dev.get(), options);
+  if (c.lane_cap > 0) {
+    engine.set_lane_limit_resolver([cap = c.lane_cap](const Endpoint&) { return cap; });
+  }
+
+  // Bind every lane up front so the flag's lane can be read off the one QP
+  // still busy when the flag byte lands.
+  std::vector<rdma::QueuePair*> qps;
+  for (int lane = 0; lane < kPlanLanes; ++lane) {
+    ASSERT_TRUE(src_dev->GetChannel(dst_dev->endpoint(), lane).ok());
+    auto qp = src_dev->qp_pool()->Acquire(src_dev->endpoint(), dst_dev->endpoint(), lane);
+    ASSERT_TRUE(qp.ok());
+    qps.push_back(*qp);
+  }
+
+  auto piece = [&](uint64_t offset, uint64_t len) {
+    return TransferEngine::WriteDesc{src->data() + offset, src->lkey(),
+                                     dst->Remote().addr + offset, dst->rkey(), len,
+                                     /*copy_bytes=*/true};
+  };
+  std::vector<TransferEngine::WriteDesc> pieces;
+  switch (c.pieces) {
+    case PieceCount::kNone:
+      break;
+    case PieceCount::kOne:
+      pieces.push_back(piece(0, bytes));
+      break;
+    case PieceCount::kMany:
+      for (int i = 0; i < kPlanManyPieces; ++i) {
+        pieces.push_back(piece(i * bytes / kPlanManyPieces, bytes / kPlanManyPieces));
+      }
+      break;
+    case PieceCount::kOneAmongEmpties:
+      pieces = {piece(0, 0), piece(0, bytes), piece(bytes, 0)};
+      break;
+  }
+  const TransferEngine::WriteDesc flag{src_flag->data(), src_flag->lkey(),
+                                       dst_flag->Remote().addr, dst_flag->rkey(), 1,
+                                       /*copy_bytes=*/true};
+  const rdma::NicStats nic_before = src_dev->nic()->stats();
+
+  bool done = false;
+  Status result = Internal("callback never fired");
+  const TransferEngine::Route route =
+      engine.Write(dst_dev->endpoint(), pieces, flag, kPlanLaneHint, [&](const Status& s) {
+        done = true;
+        result = s;
+      });
+  std::vector<int> busy_at_flag;
+  ASSERT_TRUE(world.simulator
+                  .RunUntilPredicate([&] {
+                    if (busy_at_flag.empty() && dst_flag->data()[0] == 1) {
+                      // §3.2: the payload landed before the flag.
+                      const bool landed =
+                          c.pieces == PieceCount::kNone ||
+                          std::memcmp(dst->data(), src->data(), bytes) == 0;
+                      EXPECT_TRUE(landed) << "flag visible before the payload";
+                      for (int lane = 0; lane < kPlanLanes; ++lane) {
+                        if (!qps[lane]->idle()) busy_at_flag.push_back(lane);
+                      }
+                    }
+                    return done;
+                  })
+                  .ok());
+  EXPECT_TRUE(result.ok()) << result;
+
+  EXPECT_EQ(route, want.route);
+  const TransferEngine::Stats& got = engine.stats();
+  EXPECT_EQ(got.direct_writes, want.engine.direct_writes);
+  EXPECT_EQ(got.striped_writes, want.engine.striped_writes);
+  EXPECT_EQ(got.stripe_lane_writes, want.engine.stripe_lane_writes);
+  EXPECT_EQ(got.coalesced_writes, want.engine.coalesced_writes);
+  EXPECT_EQ(got.coalesced_batches, want.engine.coalesced_batches);
+  EXPECT_EQ(got.gather_writes, want.engine.gather_writes);
+  EXPECT_EQ(got.sg_wrs_posted, want.engine.sg_wrs_posted);
+  EXPECT_EQ(got.sg_extents_posted, want.engine.sg_extents_posted);
+  const rdma::NicStats& nic = src_dev->nic()->stats();
+  EXPECT_EQ(nic.writes - nic_before.writes, want.writes);
+  EXPECT_EQ(nic.sg_writes - nic_before.sg_writes, want.sg_writes);
+  EXPECT_EQ(nic.sg_extents - nic_before.sg_extents, want.sg_extents);
+  EXPECT_EQ(nic.doorbell_batches - nic_before.doorbell_batches, want.doorbell_batches);
+  EXPECT_EQ(busy_at_flag, std::vector<int>{want.flag_lane});
+}
+
+std::vector<PlanCase> AllPlanCases() {
+  std::vector<PlanCase> cases;
+  for (PieceCount pieces : {PieceCount::kNone, PieceCount::kOne, PieceCount::kMany,
+                            PieceCount::kOneAmongEmpties}) {
+    for (PayloadSize size :
+         {PayloadSize::kBelowCoalesce, PayloadSize::kMid, PayloadSize::kAboveStripe}) {
+      for (bool finite_rate : {false, true}) {
+        for (int cap : {1, 0}) cases.push_back(PlanCase{pieces, size, finite_rate, cap});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string PlanCaseName(const ::testing::TestParamInfo<PlanCase>& info) {
+  static const char* const kPieces[] = {"NoPieces", "OnePiece", "ManyPieces",
+                                        "OneAmongEmpties"};
+  static const char* const kSizes[] = {"Small", "Mid", "Large"};
+  const PlanCase& c = info.param;
+  return std::string(kPieces[static_cast<int>(c.pieces)]) +
+         kSizes[static_cast<int>(c.size)] + (c.finite_engine_rate ? "FiniteRate" : "NoRate") +
+         (c.lane_cap == 1 ? "OneLane" : "AllLanes");
+}
+
+INSTANTIATE_TEST_SUITE_P(DecisionTable, RoutePlanTest, ::testing::ValuesIn(AllPlanCases()),
+                         PlanCaseName);
 
 TEST(TransferEngineTest, MrCacheDeviceDomainSurvivesHostChurn) {
   World world;
@@ -686,11 +911,11 @@ TEST(TransferEngineTest, PooledLaneEvictionIsTransparentToTheEngine) {
     bool done = false;
     Status result = Internal("callback never fired");
     TransferEngine::Route route =
-        engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, /*lane_hint=*/i,
-                             [&](const Status& s) {
-                               done = true;
-                               result = s;
-                             });
+        engine.Write(dst_dev->endpoint(), {&payload, 1}, flag, /*lane_hint=*/i,
+                     [&](const Status& s) {
+                       done = true;
+                       result = s;
+                     });
     EXPECT_EQ(route, TransferEngine::Route::kDirect);
     ASSERT_TRUE(world.simulator.RunUntilPredicate([&] { return done; }).ok());
     ASSERT_TRUE(result.ok()) << "write " << i << ": " << result;
@@ -714,11 +939,11 @@ TEST(TransferEngineTest, PooledLaneEvictionIsTransparentToTheEngine) {
   TransferEngine::WriteDesc flag{src_flag->data(), src_flag->lkey(),
                                  dst_flags->Remote().addr, dst_flags->rkey(), 1,
                                  /*copy_bytes=*/true};
-  engine.WriteWithFlag(dst_dev->endpoint(), payload, flag, /*lane_hint=*/3,
-                       [&](const Status& s) {
-                         done = true;
-                         result = s;
-                       });
+  engine.Write(dst_dev->endpoint(), {&payload, 1}, flag, /*lane_hint=*/3,
+               [&](const Status& s) {
+                 done = true;
+                 result = s;
+               });
   ASSERT_TRUE(world.simulator.RunUntilPredicate([&] { return done; }).ok());
   EXPECT_TRUE(result.ok()) << result;
 }
