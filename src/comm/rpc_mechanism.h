@@ -42,7 +42,6 @@ class RpcMechanism : public runtime::TransferMechanism {
   std::string name() const override {
     return plane_ == net::Plane::kTcp ? "gRPC.TCP" : "gRPC.RDMA";
   }
-  RecvMode recv_mode() const override { return RecvMode::kAsync; }
 
   void Setup(const std::vector<graph::TransferEdge>& edges,
              std::function<void(Status)> done) override;

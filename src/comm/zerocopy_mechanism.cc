@@ -20,6 +20,7 @@ using device::Direction;
 using device::RemoteRegion;
 using runtime::HostRuntime;
 using runtime::RdmaArena;
+using runtime::RecvSlot;
 using tensor::Tensor;
 
 namespace {
@@ -47,6 +48,13 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// A degradation-ladder transition as a trace instant; the label is built only
+// when a tracer is installed.
+template <typename... Parts>
+void TraceLadder(int64_t now_ns, const Parts&... parts) {
+  if (sim::Tracer::Current() != nullptr) sim::TraceInstant("ladder", StrCat(parts...), now_ns);
+}
+
 }  // namespace
 
 struct ZeroCopyRdmaMechanism::EdgeState {
@@ -59,7 +67,7 @@ struct ZeroCopyRdmaMechanism::EdgeState {
   int qp_index = 0;                             // Lane hint for the engine.
 
   // ---- Receiver state ----
-  RecvPhase phase = RecvPhase::kWaiting;
+  runtime::RecvSlot slot;        // What the receiver's polls read.
   Tensor recv_tensor;            // Static: preallocated once; dynamic: per arrival.
   uint8_t* flag_ptr = nullptr;   // Always-real completion flag polled by RdmaRecv.
   uint8_t* meta_block = nullptr; // Dynamic: metadata block in dst's meta arena.
@@ -349,6 +357,8 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
   // never trust it before a write covering the flag byte has landed. The
   // guard range is the payload the flag vouches for — trusting the flag also
   // asserts every guarded byte has landed (torn-read detection).
+  s->slot.flag = s->flag_ptr;
+  s->slot.host = s->dst;
   check::OnFlagLocation(s->dst->endpoint().host_id, s->flag_ptr, edge.key);
   if (s->protocol == Protocol::kStatic) {
     check::OnFlagGuards(s->dst->endpoint().host_id, s->flag_ptr,
@@ -419,7 +429,7 @@ void ZeroCopyRdmaMechanism::ResetTransientState() {
   }
   for (auto& [key, state] : edges_) {
     EdgeState* s = state.get();
-    s->phase = RecvPhase::kWaiting;
+    s->slot.state = RecvSlot::kFlag;
     if (s->flag_ptr != nullptr) {
       *s->flag_ptr = 0;
       check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
@@ -486,8 +496,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
       s->path = EdgePath::kProbation;
       s->probation_from = EdgePath::kDegraded;
       ++stats_.probation_probes;
-      sim::TraceInstant("ladder", StrCat(s->edge.key, " probation probe"),
-                        simulator->Now());
+      TraceLadder(simulator->Now(), s->edge.key, " probation probe");
     } else {
       return SendDegraded(s, tensor, std::move(on_sent));
     }
@@ -501,8 +510,7 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
       s->path = EdgePath::kProbation;
       s->probation_from = EdgePath::kStagedPcie;
       ++stats_.probation_probes;
-      sim::TraceInstant("ladder", StrCat(s->edge.key, " pcie-rung probation probe"),
-                        simulator->Now());
+      TraceLadder(simulator->Now(), s->edge.key, " pcie-rung probation probe");
     } else {
       force_pcie_staging = true;
     }
@@ -809,64 +817,57 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
 }
 
+const RecvSlot* ZeroCopyRdmaMechanism::recv_slot(const graph::TransferEdge& edge) const {
+  auto it = edges_.find(edge.key);
+  return it == edges_.end() ? nullptr : &it->second->slot;
+}
+
 bool ZeroCopyRdmaMechanism::TryRecv(const graph::TransferEdge& edge, Tensor* out) {
   auto it = edges_.find(edge.key);
   CHECK(it != edges_.end()) << "unknown edge " << edge.key;
   EdgeState* s = it->second.get();
-  switch (s->phase) {
-    case RecvPhase::kWaiting: {
-      if (*s->flag_ptr == 0) {
-        check::OnFlagPolled(s->dst->endpoint().host_id, s->flag_ptr,
-                            s->dst->simulator()->Now());
-        // Seeded bug (explorer self-validation): act on the payload as if
-        // the flag were already set.
-        if (!check::MutationEnabled(check::kPrematureFlagTrust)) return false;
-      }
-      check::OnFlagTrusted(s->dst->endpoint().host_id, s->flag_ptr,
-                           s->dst->simulator()->Now());
-      *s->flag_ptr = 0;  // Clear for future use (§3.2).
-      check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
-      if (s->protocol == Protocol::kStatic) {
-        if (!s->dst_gpu_staging) {
-          ++stats_.static_transfers;
-          *out = s->recv_tensor;
-          return true;
-        }
-        // Stage the received tensor into GPU memory over PCIe.
-        s->phase = RecvPhase::kStaging;
-        ++stats_.pcie_copies;
-        stats_.pcie_bytes += s->recv_tensor.TotalBytes();
-        const net::CostModel& cost = s->dst->cost();
-        const int64_t pcie_ns =
-            cost.pcie_latency_ns +
-            static_cast<int64_t>(s->recv_tensor.TotalBytes() /
-                                 cost.pcie_bandwidth_bytes_per_sec * 1e9);
-        net::Host* machine =
-            s->dst->rdma_device()->nic()->fabric()->host(s->dst->endpoint().host_id);
-        const int64_t end =
-            machine->pcie().Reserve(s->dst->simulator()->Now(), pcie_ns);
-        s->dst->simulator()->ScheduleAt(end, [s]() { s->phase = RecvPhase::kReady; });
-        return false;
-      }
-      StartDynamicRead(s);
-      return false;
+  if (s->slot.PollIdle()) return false;
+  if (s->slot.state == RecvSlot::kReady) {
+    s->slot.state = RecvSlot::kFlag;
+    if (s->protocol == Protocol::kStatic) {
+      ++stats_.static_transfers;
+      *out = s->recv_tensor;
+    } else {
+      ++stats_.dynamic_transfers;
+      *out = std::move(s->recv_tensor);
+      s->recv_tensor = Tensor();
     }
-    case RecvPhase::kTransferring:
-    case RecvPhase::kStaging:
-      return false;
-    case RecvPhase::kReady: {
-      s->phase = RecvPhase::kWaiting;
-      if (s->protocol == Protocol::kStatic) {
-        ++stats_.static_transfers;
-        *out = s->recv_tensor;
-      } else {
-        ++stats_.dynamic_transfers;
-        *out = std::move(s->recv_tensor);
-        s->recv_tensor = Tensor();
-      }
+    return true;
+  }
+  // kFlag and not idle: the flag is set, or the seeded premature-trust bug
+  // (explorer self-validation) acts on the payload after a miss.
+  if (*s->flag_ptr == 0) {
+    check::OnFlagPolled(s->dst->endpoint().host_id, s->flag_ptr, s->dst->simulator()->Now());
+  }
+  check::OnFlagTrusted(s->dst->endpoint().host_id, s->flag_ptr, s->dst->simulator()->Now());
+  *s->flag_ptr = 0;  // Clear for future use (§3.2).
+  check::OnFlagCleared(s->dst->endpoint().host_id, s->flag_ptr);
+  if (s->protocol == Protocol::kStatic) {
+    if (!s->dst_gpu_staging) {
+      ++stats_.static_transfers;
+      *out = s->recv_tensor;
       return true;
     }
+    // Stage the received tensor into GPU memory over PCIe.
+    s->slot.state = RecvSlot::kBusy;
+    ++stats_.pcie_copies;
+    stats_.pcie_bytes += s->recv_tensor.TotalBytes();
+    const net::CostModel& cost = s->dst->cost();
+    const int64_t pcie_ns =
+        cost.pcie_latency_ns + static_cast<int64_t>(s->recv_tensor.TotalBytes() /
+                                                    cost.pcie_bandwidth_bytes_per_sec * 1e9);
+    net::Host* machine =
+        s->dst->rdma_device()->nic()->fabric()->host(s->dst->endpoint().host_id);
+    const int64_t end = machine->pcie().Reserve(s->dst->simulator()->Now(), pcie_ns);
+    s->dst->simulator()->ScheduleAt(end, [s]() { s->slot.state = RecvSlot::kReady; });
+    return false;
   }
+  StartDynamicRead(s);
   return false;
 }
 
@@ -897,7 +898,7 @@ void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {
   Tensor t(arena->allocator.get(), dtype, shape);
   CHECK_EQ(t.TotalBytes(), payload_bytes) << "metadata/payload size mismatch";
   s->recv_tensor = t;
-  s->phase = RecvPhase::kTransferring;
+  s->slot.state = RecvSlot::kBusy;
   s->read_channel->Memcpy(t.raw_data(), arena->lkey, src_addr, src_rkey, payload_bytes,
                           Direction::kRemoteToLocal,
                           [s](const Status& status) {
@@ -908,10 +909,10 @@ void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {
                               LOG(WARNING) << "dynamic RDMA read failed on edge "
                                            << s->edge.key << ": " << status;
                               s->recv_tensor = Tensor();
-                              s->phase = RecvPhase::kWaiting;
+                              s->slot.state = RecvSlot::kFlag;
                               return;
                             }
-                            s->phase = RecvPhase::kReady;
+                            s->slot.state = RecvSlot::kReady;
                           },
                           /*copy_bytes=*/s->dst->real_memory());
 }
@@ -969,7 +970,7 @@ int64_t ZeroCopyRdmaMechanism::SendDegraded(EdgeState* s, const Tensor& tensor,
               std::memcpy(t.raw_data(), tensor.raw_data(), tensor.TotalBytes());
             }
             s->recv_tensor = std::move(t);
-            s->phase = RecvPhase::kReady;
+            s->slot.state = RecvSlot::kReady;
           }
         });
         (*on_sent_shared)(OkStatus());
@@ -983,8 +984,7 @@ void ZeroCopyRdmaMechanism::LadderDemote(EdgeState* s, const char* why) {
   s->consecutive_failures = 0;
   s->degraded_successes = 0;
   ++stats_.ladder_demotions;
-  sim::TraceInstant("ladder", StrCat(s->edge.key, " demoted to RPC staging: ", why),
-                    s->src->simulator()->Now());
+  TraceLadder(s->src->simulator()->Now(), s->edge.key, " demoted to RPC staging: ", why);
 }
 
 void ZeroCopyRdmaMechanism::LadderDemotePcie(EdgeState* s, const char* why) {
@@ -993,8 +993,7 @@ void ZeroCopyRdmaMechanism::LadderDemotePcie(EdgeState* s, const char* why) {
   s->consecutive_failures = 0;
   s->degraded_successes = 0;
   ++stats_.ladder_demotions;
-  sim::TraceInstant("ladder", StrCat(s->edge.key, " demoted to PCIe staging: ", why),
-                    s->src->simulator()->Now());
+  TraceLadder(s->src->simulator()->Now(), s->edge.key, " demoted to PCIe staging: ", why);
 }
 
 void ZeroCopyRdmaMechanism::LadderPromote(EdgeState* s) {
@@ -1002,8 +1001,7 @@ void ZeroCopyRdmaMechanism::LadderPromote(EdgeState* s) {
   s->consecutive_failures = 0;
   s->degraded_successes = 0;
   ++stats_.ladder_promotions;
-  sim::TraceInstant("ladder", StrCat(s->edge.key, " promoted to zero-copy"),
-                    s->src->simulator()->Now());
+  TraceLadder(s->src->simulator()->Now(), s->edge.key, " promoted to zero-copy");
 }
 
 std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
@@ -1021,8 +1019,7 @@ std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
       // probation restarts from zero clean degraded sends.
       s->path = s->probation_from;
       s->degraded_successes = 0;
-      sim::TraceInstant("ladder", StrCat(s->edge.key, " probation failed"),
-                        s->src->simulator()->Now());
+      TraceLadder(s->src->simulator()->Now(), s->edge.key, " probation failed");
     } else if (s->consecutive_failures >= options_.ladder_demote_after) {
       LadderDemote(s, "zero-copy failure streak");
     }

@@ -143,7 +143,6 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   std::string name() const override {
     return options_.graph_analysis ? "RDMA.zerocp" : "RDMA.cp";
   }
-  RecvMode recv_mode() const override { return RecvMode::kPolling; }
 
   void Setup(const std::vector<graph::TransferEdge>& edges,
              std::function<void(Status)> done) override;
@@ -151,6 +150,7 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
 
   int64_t Send(const graph::TransferEdge& edge, const tensor::Tensor& tensor,
                std::function<void(Status)> on_sent) override;
+  const runtime::RecvSlot* recv_slot(const graph::TransferEdge& edge) const override;
   bool TryRecv(const graph::TransferEdge& edge, tensor::Tensor* out) override;
 
   tensor::Allocator* AllocatorForNode(runtime::HostRuntime* host, const graph::Node& node,
@@ -173,7 +173,6 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
 
  private:
   enum class Protocol { kStatic, kDynamic };
-  enum class RecvPhase { kWaiting, kTransferring, kStaging, kReady };
 
   struct EdgeState;
 

@@ -100,10 +100,10 @@ Host::Host(int id, sim::Simulator* simulator, const CostModel* cost)
     : id_(id),
       simulator_(simulator),
       cost_(cost),
-      egress_(StrCat("host", id, ".egress")),
-      ingress_(StrCat("host", id, ".ingress")),
-      loopback_(StrCat("host", id, ".loopback")),
-      pcie_(StrCat("host", id, ".pcie")) {}
+      egress_(StrCat("host", id, ".egress"), simulator),
+      ingress_(StrCat("host", id, ".ingress"), simulator),
+      loopback_(StrCat("host", id, ".loopback"), simulator),
+      pcie_(StrCat("host", id, ".pcie"), simulator) {}
 
 Fabric::Fabric(sim::Simulator* simulator, const CostModel& cost, int num_hosts)
     : Fabric(simulator, cost, num_hosts, TopologyConfig()) {}
@@ -113,7 +113,7 @@ Fabric::Fabric(sim::Simulator* simulator, const CostModel& cost, int num_hosts,
     : simulator_(simulator), cost_(cost), congestion_(topology.congestion) {
   CHECK_GT(num_hosts, 0);
   if (topology.hierarchical()) {
-    topology_ = std::make_unique<Topology>(topology, num_hosts);
+    topology_ = std::make_unique<Topology>(topology, num_hosts, simulator);
     if (topology.switch_reduce) {
       switch_reduce_ = std::make_unique<SwitchReduceStage>(this, topology_.get());
     }

@@ -39,7 +39,10 @@ struct TransferProgress;
 // reserve time on the link; the link hands back the completion time.
 class Link {
  public:
-  explicit Link(std::string name) : name_(std::move(name)) {}
+  // |clock|, when set, lets AddDownWindow forget windows that have already
+  // ended: every query time is at or after the simulator's Now.
+  explicit Link(std::string name, const sim::Simulator* clock = nullptr)
+      : name_(std::move(name)), clock_(clock) {}
 
   // Reserves |duration_ns| of link time starting no earlier than |now|.
   // Returns the time at which the reserved slot *ends*. A slot may not start
@@ -57,9 +60,19 @@ class Link {
   // the window. Overlapping (or touching) windows are coalesced at insert, so
   // the vector stays minimal under chaos schedules that flap a link for an
   // entire run and AvailableAt can treat the windows as disjoint. Installed
-  // by Fabric::SetFaultInjector.
+  // by Fabric::SetFaultInjector and by PFC pauses (Admit). With a clock, the
+  // windows that ended at or before Now are dropped first: no query can fall
+  // inside them any more, and they form a prefix because the windows are
+  // sorted and disjoint. This keeps a link paused for a whole run bounded.
   void AddDownWindow(int64_t from_ns, int64_t until_ns) {
     if (until_ns <= from_ns) return;
+    if (clock_ != nullptr) {
+      const int64_t now = clock_->Now();
+      down_windows_.erase(
+          down_windows_.begin(),
+          std::find_if(down_windows_.begin(), down_windows_.end(),
+                       [now](const std::pair<int64_t, int64_t>& w) { return w.second > now; }));
+    }
     // Every existing window that ends at/after our start and starts at/before
     // our end overlaps (or touches) the new one; merge the whole run.
     auto first = std::lower_bound(
@@ -145,9 +158,11 @@ class Link {
   int64_t busy_ns_total() const { return busy_ns_total_; }
   const std::string& name() const { return name_; }
   const CongestionStats& congestion_stats() const { return cstats_; }
+  size_t down_window_count() const { return down_windows_.size(); }
 
  private:
   std::string name_;
+  const sim::Simulator* clock_;
   int64_t next_free_ns_ = 0;
   int64_t busy_ns_total_ = 0;  // For utilization accounting.
   // Congestion bounds (wire-time units); zero = unbounded, see Admit.

@@ -6,7 +6,8 @@
 namespace rdmadl {
 namespace net {
 
-Topology::Topology(const TopologyConfig& config, int num_hosts) : config_(config) {
+Topology::Topology(const TopologyConfig& config, int num_hosts, const sim::Simulator* clock)
+    : config_(config) {
   CHECK_GT(config.hosts_per_rack, 0);
   CHECK_GT(config.oversubscription, 0.0);
   num_racks_ = (num_hosts + config.hosts_per_rack - 1) / config.hosts_per_rack;
@@ -14,12 +15,12 @@ Topology::Topology(const TopologyConfig& config, int num_hosts) : config_(config
   rack_up_.reserve(num_racks_);
   rack_down_.reserve(num_racks_);
   for (int r = 0; r < num_racks_; ++r) {
-    rack_up_.emplace_back(StrCat("rack", r, ".uplink"));
-    rack_down_.emplace_back(StrCat("rack", r, ".downlink"));
+    rack_up_.emplace_back(StrCat("rack", r, ".uplink"), clock);
+    rack_down_.emplace_back(StrCat("rack", r, ".downlink"), clock);
   }
   spine_.reserve(spine_count);
   for (int s = 0; s < spine_count; ++s) {
-    spine_.emplace_back(StrCat("spine", s));
+    spine_.emplace_back(StrCat("spine", s), clock);
   }
 }
 

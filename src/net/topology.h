@@ -75,7 +75,8 @@ struct TopologyConfig {
 // stay owned by net::Host, this class owns only the rack/spine tier.
 class Topology {
  public:
-  Topology(const TopologyConfig& config, int num_hosts);
+  // |clock| is handed to every shared link (see Link).
+  Topology(const TopologyConfig& config, int num_hosts, const sim::Simulator* clock = nullptr);
 
   int num_racks() const { return num_racks_; }
   int num_spine_links() const { return static_cast<int>(spine_.size()); }

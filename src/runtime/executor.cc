@@ -13,26 +13,26 @@ using graph::Node;
 using tensor::Tensor;
 
 Executor::Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
-                   const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
+                   const std::unordered_map<std::string, graph::TransferEdge>& edges_by_key,
                    ExecutorOptions options)
-    : host_(host),
-      graph_(graph),
-      mechanism_(mechanism),
-      edges_by_key_(edges_by_key),
-      options_(options) {
+    : host_(host), graph_(graph), mechanism_(mechanism), options_(options) {
   CHECK_GT(options_.num_workers, 0);
   kernels_.resize(graph->num_nodes());
   total_deps_.resize(graph->num_nodes(), 0);
   edge_of_node_.resize(graph->num_nodes(), nullptr);
+  kind_.resize(graph->num_nodes(), NodeKind::kCompute);
+  slot_of_node_.resize(graph->num_nodes(), nullptr);
+  ready_.resize(graph->num_nodes());
   for (const auto& node : graph->nodes()) {
     total_deps_[node->id()] =
         static_cast<int>(node->inputs().size() + node->control_inputs().size());
     if (node->op() == "_Send" || node->op() == "_Recv") {
-      // Resolve the rendezvous key once; polling hits this on every attempt.
+      // Resolve the rendezvous key once, not per dispatch.
       const std::string key = node->GetAttr<std::string>("tensor_name");
-      auto it = edges_by_key->find(key);
-      CHECK(it != edges_by_key->end()) << "unknown transfer edge " << key;
+      auto it = edges_by_key.find(key);
+      CHECK(it != edges_by_key.end()) << "unknown transfer edge " << key;
       edge_of_node_[node->id()] = &it->second;
+      kind_[node->id()] = node->op() == "_Send" ? NodeKind::kSend : NodeKind::kRecv;
       continue;
     }
     auto kernel = ops::KernelRegistry::Global()->Create(*node);
@@ -47,14 +47,27 @@ Executor::~Executor() {
   }
 }
 
+void Executor::ResolveRecvSlots() {
+  for (const auto& node : graph_->nodes()) {
+    if (kind_[node->id()] != NodeKind::kRecv) continue;
+    const RecvSlot* slot = mechanism_->recv_slot(EdgeOf(*node));
+    if (slot == nullptr) continue;
+    slot_of_node_[node->id()] = slot;
+    kind_[node->id()] = NodeKind::kPolledRecv;
+  }
+}
+
 tensor::Allocator* Executor::Wrap(tensor::Allocator* base) {
   tensor::TracingAllocator* wrapper = host_->tracing_allocator(base);
-  wrapper->set_alloc_hook([this](void* ptr, size_t bytes) {
-    if (current_node_ != nullptr) {
-      mechanism_->OnAllocation(host_, *current_node_, ptr, bytes);
-    }
-  });
-  hooked_wrappers_.push_back(wrapper);
+  if (std::find(hooked_wrappers_.begin(), hooked_wrappers_.end(), wrapper) ==
+      hooked_wrappers_.end()) {
+    wrapper->set_alloc_hook([this](void* ptr, size_t bytes) {
+      if (current_node_ != nullptr) {
+        mechanism_->OnAllocation(host_, *current_node_, ptr, bytes);
+      }
+    });
+    hooked_wrappers_.push_back(wrapper);
+  }
   return wrapper;
 }
 
@@ -87,7 +100,8 @@ void Executor::RunStepAsync(const std::unordered_map<std::string, Tensor>* feeds
   on_done_ = std::move(on_done);
   outputs_.assign(graph_->num_nodes(), Tensor());
   pending_ = total_deps_;
-  ready_.clear();
+  ready_head_ = 0;
+  ready_count_ = 0;
   remaining_ = graph_->num_nodes();
   free_workers_ = options_.num_workers;
   failed_ = false;
@@ -95,7 +109,7 @@ void Executor::RunStepAsync(const std::unordered_map<std::string, Tensor>* feeds
   delayed_kick_scheduled_ = false;  // A kick from an aborted step is stale.
   poll_interval_ns_ = host_->cost().idle_poll_interval_ns;
   for (const auto& node : graph_->nodes()) {
-    if (pending_[node->id()] == 0) ready_.push_back(node.get());
+    if (pending_[node->id()] == 0) PushReady(node.get());
   }
   if (remaining_ == 0) {
     const uint64_t epoch = epoch_;
@@ -115,7 +129,7 @@ void Executor::Abort(const Status& status) {
   ++epoch_;  // Invalidate every scheduled event of the aborted step.
   failed_ = true;
   in_flight_ = false;
-  ready_.clear();
+  ready_count_ = 0;
   auto done = std::move(on_done_);
   if (done) done(status);
 }
@@ -129,12 +143,24 @@ const Tensor* Executor::OutputOf(const std::string& node_name) const {
   return OutputOf(graph_->FindNode(node_name));
 }
 
+void Executor::PushReady(Node* node) {
+  size_t tail = ready_head_ + ready_count_;
+  if (tail >= ready_.size()) tail -= ready_.size();
+  ready_[tail] = node;
+  ++ready_count_;
+}
+
+void Executor::PopReady() {
+  if (++ready_head_ == ready_.size()) ready_head_ = 0;
+  --ready_count_;
+}
+
 void Executor::MaybeDispatch() {
-  while (!failed_ && !ready_.empty()) {
+  while (!failed_ && ready_count_ > 0) {
     // Polling-async fairness/livelock guard (§4): when every queued node is a
     // poll that already failed this pass, yield and retry after the (backed-
     // off) poll interval instead of spinning at the current instant.
-    if (failed_polls_in_row_ >= static_cast<int>(ready_.size())) {
+    if (failed_polls_in_row_ >= static_cast<int>(ready_count_)) {
       if (!delayed_kick_scheduled_) {
         delayed_kick_scheduled_ = true;
         const uint64_t epoch = epoch_;
@@ -150,31 +176,40 @@ void Executor::MaybeDispatch() {
       }
       return;
     }
-    Node* node = ready_.front();
+    Node* node = ready_[ready_head_];
     // Polling receives are handled inline by the scheduler's polling pass and
     // do not consume an executor worker: a poll attempt is ~100 ns, and a
-    // failed one re-enqueues the node at the tail of the ready queue.
-    if (node->op() == "_Recv" &&
-        mechanism_->recv_mode() == TransferMechanism::RecvMode::kPolling) {
-      ready_.pop_front();
-      PollRecv(node);
+    // failed one re-enqueues the node at the tail of the ready queue. An idle
+    // poll is decided here from the edge's RecvSlot, without a mechanism call.
+    if (kind_[node->id()] == NodeKind::kPolledRecv) {
+      PopReady();
+      ++stats_.poll_attempts;
+      if (slot_of_node_[node->id()]->PollIdle()) {
+        FailPoll(node);
+      } else {
+        PollRecv(node);
+      }
       continue;
     }
     if (free_workers_ == 0) return;
-    ready_.pop_front();
+    PopReady();
     --free_workers_;
     StartNode(node);
   }
 }
 
 void Executor::StartNode(Node* node) {
-  if (node->op() == "_Send") {
-    StartSend(node);
-  } else if (node->op() == "_Recv") {
-    StartRecv(node);
-  } else {
-    failed_polls_in_row_ = 0;
-    StartCompute(node);
+  switch (kind_[node->id()]) {
+    case NodeKind::kSend:
+      StartSend(node);
+      break;
+    case NodeKind::kRecv:
+      StartRecv(node);
+      break;
+    default:
+      failed_polls_in_row_ = 0;
+      StartCompute(node);
+      break;
   }
 }
 
@@ -206,8 +241,10 @@ void Executor::StartCompute(Node* node) {
     // dispatching CPU worker after the launch overhead.
     const int64_t done_at = host_->compute_unit()->Reserve(
         host_->simulator()->Now() + options_.op_dispatch_ns, cost - options_.op_dispatch_ns);
-    sim::TraceSpan(host_->device_name() + " compute", node->name(),
-                   done_at - (cost - options_.op_dispatch_ns), done_at);
+    if (sim::Tracer::Current() != nullptr) {
+      sim::TraceSpan(host_->device_name() + " compute", node->name(),
+                     done_at - (cost - options_.op_dispatch_ns), done_at);
+    }
     const uint64_t epoch = epoch_;
     host_->simulator()->ScheduleAfter(options_.op_dispatch_ns, [this, epoch]() {
       if (epoch != epoch_) return;
@@ -241,8 +278,10 @@ void Executor::StartSend(Node* node) {
           FailStep(status);
           return;
         }
-        sim::TraceSpan(host_->device_name() + " send", edge.key, send_start,
-                       host_->simulator()->Now());
+        if (sim::Tracer::Current() != nullptr) {
+          sim::TraceSpan(host_->device_name() + " send", edge.key, send_start,
+                         host_->simulator()->Now());
+        }
         FinishNode(node, tensor);
       });
   host_->simulator()->ScheduleAfter(options_.op_dispatch_ns + sync_cost, [this, epoch]() {
@@ -271,27 +310,28 @@ void Executor::StartRecv(Node* node) {
 }
 
 void Executor::PollRecv(Node* node) {
-  ++stats_.poll_attempts;
-  const graph::TransferEdge& edge = EdgeOf(*node);
   Tensor received;
-  const bool ready = mechanism_->TryRecv(edge, &received);
-  const int64_t poll_cost = host_->cost().flag_poll_cost_ns;
-  if (ready) {
-    ++stats_.nodes_executed;
-    failed_polls_in_row_ = 0;
-    poll_interval_ns_ = host_->cost().idle_poll_interval_ns;
-    // Clear-flag + dependent activation cost, then complete.
-    const uint64_t epoch = epoch_;
-    host_->simulator()->ScheduleAfter(poll_cost, [this, node, received, epoch]() {
-      if (epoch != epoch_) return;
-      FinishNode(node, received);
-    });
+  if (!mechanism_->TryRecv(EdgeOf(*node), &received)) {
+    FailPoll(node);
     return;
   }
+  ++stats_.nodes_executed;
+  failed_polls_in_row_ = 0;
+  poll_interval_ns_ = host_->cost().idle_poll_interval_ns;
+  // Clear-flag + dependent activation cost, then complete.
+  const uint64_t epoch = epoch_;
+  host_->simulator()->ScheduleAfter(
+      host_->cost().flag_poll_cost_ns, [this, node, received, epoch]() {
+        if (epoch != epoch_) return;
+        FinishNode(node, received);
+      });
+}
+
+void Executor::FailPoll(Node* node) {
   // Failed poll: back to the tail of the ready queue, synchronously (§4).
   ++stats_.failed_polls;
   ++failed_polls_in_row_;
-  ready_.push_back(node);
+  PushReady(node);
 }
 
 void Executor::FinishNode(Node* node, Tensor output) {
@@ -299,7 +339,7 @@ void Executor::FinishNode(Node* node, Tensor output) {
   outputs_[node->id()] = std::move(output);
   for (Node* consumer : node->consumers()) {
     if (--pending_[consumer->id()] == 0) {
-      ready_.push_back(consumer);
+      PushReady(consumer);
       failed_polls_in_row_ = 0;
     }
   }

@@ -13,11 +13,11 @@
 //     of the ready queue so polling never starves ready work. If only failed
 //     polls remain, the next attempt is delayed by idle_poll_interval (this
 //     both models a polling thread yielding and keeps the discrete-event
-//     simulation live).
+//     simulation live). The scheduler tests the edge's RecvSlot inline and
+//     calls the mechanism's TryRecv only for a poll that is not idle.
 #ifndef RDMADL_SRC_RUNTIME_EXECUTOR_H_
 #define RDMADL_SRC_RUNTIME_EXECUTOR_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -55,9 +55,16 @@ struct ExecutorStats {
 
 class Executor {
  public:
+  // |edges_by_key| resolves the partition's _Send/_Recv nodes to their edges
+  // and must outlive the executor.
   Executor(HostRuntime* host, const graph::Graph* graph, TransferMechanism* mechanism,
-           const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key,
+           const std::unordered_map<std::string, graph::TransferEdge>& edges_by_key,
            ExecutorOptions options);
+
+  // Resolves every _Recv node's RecvSlot from the mechanism; a node with a
+  // slot is polled, one without receives through RecvAsync. Call once the
+  // mechanism's Setup has completed, before the first step.
+  void ResolveRecvSlots();
 
   // Runs the partition once. |feeds| must outlive the step. |on_done| fires
   // in virtual time when every node has completed (or on first error).
@@ -86,8 +93,16 @@ class Executor {
   // TracingAllocator wrapper for |base|.
   tensor::Allocator* Wrap(tensor::Allocator* base);
 
+  // How the scheduler dispatches a node; resolved once, read per dispatch.
+  enum class NodeKind : uint8_t { kCompute, kSend, kRecv, kPolledRecv };
+
   int64_t CostOf(const graph::Node& node) const;
   const graph::TransferEdge& EdgeOf(const graph::Node& node) const;
+
+  // The ready queue: a ring of capacity num_nodes, since a node is queued at
+  // most once at a time (on activation, or re-queued after a failed poll).
+  void PushReady(graph::Node* node);
+  void PopReady();
 
   void MaybeDispatch();
   void StartNode(graph::Node* node);
@@ -95,6 +110,7 @@ class Executor {
   void StartSend(graph::Node* node);
   void StartRecv(graph::Node* node);
   void PollRecv(graph::Node* node);
+  void FailPoll(graph::Node* node);
   void FinishNode(graph::Node* node, tensor::Tensor output);
   void FailStep(const Status& status);
   void ReleaseWorker();
@@ -102,7 +118,6 @@ class Executor {
   HostRuntime* host_;
   const graph::Graph* graph_;
   TransferMechanism* mechanism_;
-  const std::unordered_map<std::string, graph::TransferEdge>* edges_by_key_;
   ExecutorOptions options_;
   ExecutorStats stats_;
 
@@ -110,6 +125,8 @@ class Executor {
   std::vector<std::unique_ptr<ops::OpKernel>> kernels_;  // By node id (null for _Send/_Recv).
   std::vector<int> total_deps_;                          // Inputs + control inputs per node.
   std::vector<const graph::TransferEdge*> edge_of_node_;  // By node id (transfer ops only).
+  std::vector<NodeKind> kind_;                           // By node id.
+  std::vector<const RecvSlot*> slot_of_node_;            // By node id (polled _Recv only).
 
   // Per-step state.
   // Step epoch: advanced by RunStepAsync and Abort. Scheduled closures and
@@ -122,7 +139,9 @@ class Executor {
   std::function<void(Status)> on_done_;
   std::vector<tensor::Tensor> outputs_;
   std::vector<int> pending_;
-  std::deque<graph::Node*> ready_;
+  std::vector<graph::Node*> ready_;  // Ring storage, sized num_nodes.
+  size_t ready_head_ = 0;
+  size_t ready_count_ = 0;
   int remaining_ = 0;
   int free_workers_ = 0;
   bool failed_ = false;
@@ -131,8 +150,8 @@ class Executor {
   int64_t poll_interval_ns_ = 1'000;  // Adaptive; see CostModel.
 
   // Allocation tracing plumbing. Wrappers are owned by the HostRuntime (they
-  // must outlive tensors); this executor only installs hooks and clears them
-  // on destruction.
+  // must outlive tensors); this executor installs its hook once per distinct
+  // wrapper and clears them on destruction.
   const graph::Node* current_node_ = nullptr;
   std::vector<tensor::TracingAllocator*> hooked_wrappers_;
 

@@ -67,7 +67,7 @@ Status DistributedSession::Setup() {
   }
   for (graph::GraphPartition& part : partition_.partitions) {
     executors_[part.device] = std::make_unique<Executor>(
-        cluster_->host(part.device), part.graph.get(), mechanism_, &edges_by_key_,
+        cluster_->host(part.device), part.graph.get(), mechanism_, edges_by_key_,
         options_.executor);
   }
 
@@ -81,6 +81,7 @@ Status DistributedSession::Setup() {
   RDMADL_RETURN_IF_ERROR(cluster_->simulator()->RunUntilPredicate(
       [&] { return done; }, options_.max_events_per_step));
   RDMADL_RETURN_IF_ERROR(setup_status);
+  for (auto& [device, executor] : executors_) executor->ResolveRecvSlots();
   setup_done_ = true;
   return OkStatus();
 }
@@ -122,8 +123,10 @@ Status DistributedSession::RunStep(const std::unordered_map<std::string, tensor:
   }
   ++steps_run_;
   last_step_duration_ns_ = cluster_->simulator()->Now() - start;
-  sim::TraceSpan("session", StrCat("step ", steps_run_ - 1), start,
-                 cluster_->simulator()->Now());
+  if (sim::Tracer::Current() != nullptr) {
+    sim::TraceSpan("session", StrCat("step ", steps_run_ - 1), start,
+                   cluster_->simulator()->Now());
+  }
   return OkStatus();
 }
 

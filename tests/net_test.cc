@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/net/fabric.h"
@@ -218,6 +219,47 @@ TEST(LinkTest, DisjointWindowsStayDisjointAndSorted) {
   link.AddDownWindow(150, 550);
   EXPECT_EQ(link.AvailableAt(150), 600);
   EXPECT_EQ(link.AvailableAt(250), 600);
+}
+
+// A link under sustained PFC pauses opens one down window per pause. With a
+// clock it drops the windows that have already ended whenever it inserts a new
+// one, so the window count stays bounded over a long run; every admission and
+// availability query matches a link without a clock, which keeps them all.
+TEST(LinkTest, PausedLinkForgetsEndedWindows) {
+  sim::Simulator simulator;
+  Link clocked("clocked", &simulator);
+  Link reference("reference");
+  for (Link* link : {&clocked, &reference}) {
+    link->ConfigureCongestion(/*capacity_ns=*/1'000, /*ecn_threshold_ns=*/500,
+                              /*pause_on_overflow=*/true, /*pause_ns=*/500);
+  }
+  // Each 20 us period, twenty 300 ns packets arrive 150 ns apart: twice the
+  // link's rate. The queue overflows and pauses the link several times, later
+  // packets arrive while a pause is in force, and the queue drains before the
+  // next period.
+  constexpr int kPeriods = 1'000;
+  int mismatches = 0;
+  size_t max_windows = 0;
+  for (int p = 0; p < kPeriods; ++p) {
+    for (int k = 0; k < 20; ++k) {
+      simulator.ScheduleAt(p * 20'000 + k * 150, [&] {
+        const int64_t now = simulator.Now();
+        // A sub-MTU write queries the link at Now, inside any pause in force.
+        if (clocked.AvailableAt(now) != reference.AvailableAt(now)) ++mismatches;
+        const Link::Admission a = clocked.Admit(now, 300);
+        const Link::Admission r = reference.Admit(now, 300);
+        if (a.done_ns != r.done_ns || a.ecn != r.ecn || a.dropped != r.dropped) ++mismatches;
+        max_windows = std::max(max_windows, clocked.down_window_count());
+      });
+    }
+  }
+  ASSERT_TRUE(simulator.Run().ok());
+  EXPECT_EQ(mismatches, 0);
+  const uint64_t pauses = clocked.congestion_stats().pause_windows;
+  EXPECT_GE(pauses, 2u * kPeriods);
+  EXPECT_EQ(reference.congestion_stats().pause_windows, pauses);
+  EXPECT_EQ(reference.down_window_count(), pauses);  // Disjoint: nothing coalesced.
+  EXPECT_LE(max_windows, pauses / kPeriods);         // One period's windows at most.
 }
 
 class TopologyTest : public ::testing::Test {

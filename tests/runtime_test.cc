@@ -5,14 +5,21 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
+#include "src/check/explore.h"
+#include "src/check/mutation.h"
+#include "src/check/testing.h"
 #include "src/comm/rpc_mechanism.h"
 #include "src/comm/zerocopy_mechanism.h"
 #include "src/runtime/session.h"
+#include "src/sim/explore.h"
 
 namespace rdmadl {
 namespace runtime {
 namespace {
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 using graph::Graph;
 using graph::Node;
@@ -433,6 +440,190 @@ TEST(ExecutorStatsTest, PollingAsyncRecvPollsMoreThanOnce) {
   // must have re-polled (failed polls re-enqueue at the queue tail, §4).
   EXPECT_GT(stats.poll_attempts, 1);
   EXPECT_GT(stats.failed_polls, 0);
+}
+
+// Polling-async semantics pinned to exact virtual-clock values. One executor
+// worker per process; on the worker, two compute nodes that each hold the
+// worker (serialize_compute off) head the ready queue, so the two polled
+// _Recvs queued behind the second one are not polled until it starts. One
+// _Recv is a GPU-staged static edge (busy while the PCIe copy runs), the other
+// a dynamic-protocol edge (busy while its payload is read). The ps polls the
+// worker's result over a plain static edge. Which polls run, and when, fixes
+// every number below.
+TEST(ExecutorStatsTest, PollingAsyncSemanticsArePinned) {
+  ClusterOptions options;
+  options.num_machines = 2;
+  options.mode = ops::ComputeMode::kReal;
+  options.process_defaults.rdma_arena_bytes = 8ull << 20;
+  options.process_defaults.seed = 99;
+  options.worker_tensors_on_gpu = true;  // Static edges into the worker stage over PCIe.
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());
+  ASSERT_TRUE(cluster.AddProcess("worker:0", 1).ok());
+
+  ops::RegisterStandardOps();
+  Graph graph;
+  for (const auto& [name, cost] : {std::pair{"busy0", 40'000.0}, {"busy1", 20'000.0}}) {
+    Node* n = *graph.AddNode(name, "Const", std::vector<Node*>{});
+    n->SetAttr("shape", TensorShape{1});
+    n->SetAttr("cost_ns", cost);
+    n->set_device("worker:0");
+  }
+  Node* w = *graph.AddNode("w", "Variable", std::vector<Node*>{});
+  w->SetAttr("shape", TensorShape{64, 64});
+  w->SetAttr("init", std::string("uniform"));
+  w->set_device("ps:0");
+  Node* d = *graph.AddNode("d", "Placeholder", std::vector<Node*>{});
+  d->SetAttr("shape", TensorShape{tensor::kUnknownDim, 8});
+  d->set_device("ps:0");
+  Node* sw = *graph.AddNode("sw", "ReduceSum", {w});
+  sw->set_device("worker:0");
+  Node* sd = *graph.AddNode("sd", "ReduceSum", {d});
+  sd->set_device("worker:0");
+  Node* total = *graph.AddNode("total", "Add", {sw, sd});
+  total->set_device("worker:0");
+  Node* out = *graph.AddNode("out", "Identity", {total});
+  out->set_device("ps:0");
+
+  comm::ZeroCopyRdmaMechanism mech(&cluster, comm::ZeroCopyOptions{});
+  SessionOptions session_options;
+  session_options.executor.num_workers = 1;
+  session_options.executor.serialize_compute = false;
+  DistributedSession session(&cluster, &mech, &graph, session_options);
+  ASSERT_TRUE(session.Setup().ok());
+
+  struct Recv {
+    Executor* executor;
+    std::string node;
+  };
+  std::vector<Recv> recvs;
+  for (const graph::TransferEdge& edge : session.transfer_edges()) {
+    recvs.push_back({session.executor_for(edge.dst_device), edge.recv_node});
+  }
+  ASSERT_EQ(recvs.size(), 3u);
+
+  struct StepRecord {
+    int64_t step_ns = 0;
+    std::vector<int64_t> recv_done_ns;  // Per transfer edge, from step start.
+    ExecutorStats worker;
+    ExecutorStats ps;
+  };
+  // Drives one step by hand (what RunStep does) so every _Recv's completion
+  // instant can be read between events.
+  auto run_step = [&](int64_t step, int64_t rows) {
+    std::unordered_map<std::string, Tensor> feeds;
+    feeds["d"] = Ones(TensorShape{rows, 8});
+    sim::Simulator* simulator = cluster.simulator();
+    const int64_t start = simulator->Now();
+    StepRecord record;
+    record.recv_done_ns.assign(recvs.size(), -1);
+    mech.BeginStep(step);
+    int pending = 0;
+    for (const std::string device : {"ps:0", "worker:0"}) {
+      ++pending;
+      session.executor_for(device)->RunStepAsync(&feeds, [&pending](Status s) {
+        CHECK_OK(s);
+        --pending;
+      });
+    }
+    CHECK_OK(simulator->RunUntilPredicate([&] {
+      for (size_t i = 0; i < recvs.size(); ++i) {
+        if (record.recv_done_ns[i] < 0 && recvs[i].executor->OutputOf(recvs[i].node)->valid()) {
+          record.recv_done_ns[i] = simulator->Now() - start;
+        }
+      }
+      return pending == 0;
+    }));
+    record.step_ns = simulator->Now() - start;
+    record.worker = session.executor_for("worker:0")->stats();
+    record.ps = session.executor_for("ps:0")->stats();
+    return record;
+  };
+
+  // Transfer edges in partition order: w -> worker (static, GPU-staged),
+  // d -> worker (dynamic), total -> ps (static). On the worker, busy0 holds
+  // the only worker until 41.5 us; both arrivals are then seen on the first
+  // poll, each edge stays busy (PCIe staging, RDMA read) across the next
+  // poll, and both are consumed on the third. Stats are cumulative.
+  const StepRecord first = run_step(0, 3);
+  EXPECT_EQ(first.step_ns, 82'580);
+  EXPECT_EQ(first.recv_done_ns, (std::vector<int64_t>{44'580, 44'580, 81'080}));
+  EXPECT_EQ(first.worker.poll_attempts, 6);
+  EXPECT_EQ(first.worker.failed_polls, 4);
+  EXPECT_EQ(first.ps.poll_attempts, 12);
+  EXPECT_EQ(first.ps.failed_polls, 11);
+
+  const StepRecord second = run_step(1, 5);
+  EXPECT_EQ(second.step_ns, 82'580);
+  EXPECT_EQ(second.recv_done_ns, (std::vector<int64_t>{44'580, 44'580, 81'080}));
+  EXPECT_EQ(second.worker.poll_attempts, 12);
+  EXPECT_EQ(second.worker.failed_polls, 8);
+  EXPECT_EQ(second.ps.poll_attempts, 24);
+  EXPECT_EQ(second.ps.failed_polls, 22);
+
+  // Both received tensors reached the worker intact: sum(w) + sum(ones[5, 8]).
+  const Tensor& weights = cluster.host("ps:0")->resources()->GetVariable("w");
+  float expected = 5 * 8;
+  for (int64_t i = 0; i < weights.num_elements(); ++i) expected += weights.at<float>(i);
+  EXPECT_NEAR(session.executor_for("worker:0")->OutputOf("total")->at<float>(0), expected, 1e-3);
+}
+
+// An executor hooks each allocation-tracing wrapper once, not once per node:
+// after the first step it no longer touches the host's wrappers, so a hook
+// installed there later stays in place and sees the next step's allocations.
+TEST(ExecutorStatsTest, AllocationHookIsInstalledOncePerWrapper) {
+  auto cluster = MakeCluster(2);
+  ASSERT_TRUE(cluster->AddProcess("ps:0", 0).ok());
+  ASSERT_TRUE(cluster->AddProcess("worker:0", 1).ok());
+  comm::ZeroCopyRdmaMechanism mech(cluster.get(), comm::ZeroCopyOptions{});
+  PsWorkerGraph g = BuildPsWorkerGraph();
+  DistributedSession session(cluster.get(), &mech, g.graph.get(), SessionOptions{});
+  ASSERT_TRUE(session.Setup().ok());
+  std::unordered_map<std::string, Tensor> feeds;
+  feeds["x"] = Ones(TensorShape{4, 4});
+  ASSERT_TRUE(session.RunStep(feeds).ok());
+  ASSERT_TRUE(session.RunStep(feeds).ok());
+
+  HostRuntime* worker = cluster->host("worker:0");
+  int observed = 0;
+  for (tensor::Allocator* base : std::vector<tensor::Allocator*>{
+           worker->default_allocator(), worker->rdma_arena().value()->allocator.get()}) {
+    worker->tracing_allocator(base)->set_alloc_hook([&observed](void*, size_t) { ++observed; });
+  }
+  ASSERT_TRUE(session.RunStep(feeds).ok());
+  EXPECT_GT(observed, 0);
+}
+
+// The executor-side seam of the premature-flag-trust mutation: a polled
+// _Recv of a 2-host zero-copy PS step acts on a zero flag byte. The explorer
+// must classify the run by the checker's diagnostic, exactly as it does for
+// the collective flag pollers.
+TEST(ExecutorMutationTest, ExplorerCatchesPrematureFlagTrustOnPolledRecv) {
+  check::ScopedMutation mutation(check::kPrematureFlagTrust);
+  sim::ExploreOptions options;
+  options.name = "executor-premature-flag-trust";
+  options.max_schedules = 8;
+  sim::Explorer explorer(options);
+  sim::ExploreResult result =
+      explorer.Explore(check::CheckedWorkload([](sim::Simulator& simulator) -> Status {
+        // The cluster owns its simulator; the explorer's schedule policy
+        // drives it instead of the fresh one handed in.
+        auto cluster = MakeCluster(2);
+        cluster->simulator()->set_schedule_policy(simulator.schedule_policy());
+        RDMADL_RETURN_IF_ERROR(cluster->AddProcess("ps:0", 0).status());
+        RDMADL_RETURN_IF_ERROR(cluster->AddProcess("worker:0", 1).status());
+        comm::ZeroCopyRdmaMechanism mech(cluster.get(), comm::ZeroCopyOptions{});
+        PsWorkerGraph g = BuildPsWorkerGraph();
+        DistributedSession session(cluster.get(), &mech, g.graph.get(), SessionOptions{});
+        RDMADL_RETURN_IF_ERROR(session.Setup());
+        std::unordered_map<std::string, Tensor> feeds;
+        feeds["x"] = Ones(TensorShape{4, 4});
+        return session.RunStep(feeds);
+      }));
+  ASSERT_TRUE(result.failure_found) << result.Summary();
+  EXPECT_EQ(result.first_failure.failure_class, "check:premature-flag-read")
+      << result.first_failure.details;
+  EXPECT_EQ(result.minimized_report.failure_class, "check:premature-flag-read");
 }
 
 }  // namespace
