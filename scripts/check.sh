@@ -398,8 +398,8 @@ case "$MODE" in
     # GPUDirect route sweep (ISSUE 10). The SG-WR verbs contract (one
     # doorbell / one CQE per WQE, list-order delivery, shared-fate
     # validation, retry-restarts-every-extent), the gather route planner with
-    # lane striping and the device/host MR-cache domains, and the SG
-    # diagnostics matrix (sg-extent-out-of-order, flag-in-sg-list) run plain
+    # lane striping, and the SG diagnostics matrix (sg-extent-out-of-order,
+    # flag-in-sg-list) run plain
     # and with the protocol checker installed; the device-resident chaos pair
     # sweeps the fault seeds under RdmaCheck with a per-seed two-run stdout
     # diff; the quick bench gates route ordering and doorbell reduction; and

@@ -346,13 +346,8 @@ float* CollectiveGroup::data(int rank) const {
 }
 
 std::pair<uint64_t, uint64_t> CollectiveGroup::Chunk(uint64_t count, int c) const {
-  const uint64_t n = size();
-  const uint64_t base = count / n;
-  const uint64_t rem = count % n;
-  const uint64_t idx = static_cast<uint64_t>(c);
-  const uint64_t length = base + (idx < rem ? 1 : 0);
-  const uint64_t offset = idx * base + std::min<uint64_t>(idx, rem);
-  return {offset, length};
+  const ChunkRange chunk = NearEqualChunk(count, size(), c);
+  return {chunk.offset, chunk.count};
 }
 
 int64_t CollectiveGroup::ReduceNs(uint64_t bytes) const {

@@ -44,36 +44,6 @@ namespace collective {
 
 namespace {
 
-// Near-equal partition of |count| elements into |parts| (same math as the
-// flat ring so conformance can compare byte-for-byte).
-void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-               std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  const uint64_t base = count / parts;
-  const uint64_t rem = count % parts;
-  uint64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const uint64_t len = base + (static_cast<uint64_t>(i) < rem ? 1 : 0);
-    (*offsets)[i] = off;
-    (*counts)[i] = len;
-    off += len;
-  }
-}
-
-struct ChunkRange {
-  uint64_t offset = 0;  // Elements, relative to the lane start.
-  uint64_t count = 0;   // Elements.
-};
-
-ChunkRange RingChunk(uint64_t lane_count, int n, int c) {
-  const uint64_t base = lane_count / n;
-  const uint64_t rem = lane_count % n;
-  const uint64_t idx = static_cast<uint64_t>(c);
-  return ChunkRange{idx * base + std::min<uint64_t>(idx, rem),
-                    base + (idx < rem ? 1 : 0)};
-}
-
 int Ctz(int p) {
   int j = 0;
   while (((p >> j) & 1) == 0) ++j;
@@ -166,7 +136,7 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
       const int succ_leader = R > 1 ? racks_[(rk + 1) % R][0] : r;
       auto post_ring_rs = [this, op, r, l, rk, R, succ_leader, lane_off, lane_cnt, fb](int s) {
         const int send_chunk = ((rk - s) % R + R) % R;
-        const ChunkRange chunk = RingChunk(lane_cnt, R, send_chunk);
+        const ChunkRange chunk = NearEqualChunk(lane_cnt, R, send_chunk);
         Rank* self = ranks_[r].get();
         const Rank::PeerAddrs& peer = self->peers[succ_leader];
         const uint64_t slot_off =
@@ -181,7 +151,7 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
                            fb](int t) {
         const int owner = (rk + 1) % R;
         const int send_chunk = ((owner - t) % R + R) % R;
-        const ChunkRange chunk = RingChunk(lane_cnt, R, send_chunk);
+        const ChunkRange chunk = NearEqualChunk(lane_cnt, R, send_chunk);
         Rank* self = ranks_[r].get();
         const Rank::PeerAddrs& peer = self->peers[succ_leader];
         const uint64_t byte_off = (lane_off + chunk.offset) * sizeof(float);
@@ -231,7 +201,7 @@ void CollectiveGroup::StartHierarchical(const std::shared_ptr<Op>& op) {
                   // chunk it carries, then send the next step.
                   const int s = index;
                   const int recv_chunk = ((rk - s - 1) % R + R) % R;
-                  const ChunkRange chunk = RingChunk(lane_cnt, R, recv_chunk);
+                  const ChunkRange chunk = NearEqualChunk(lane_cnt, R, recv_chunk);
                   const uint64_t bytes = chunk.count * sizeof(float);
                   simulator()->ScheduleAfter(
                       ReduceNs(bytes),

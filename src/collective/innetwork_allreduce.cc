@@ -42,21 +42,6 @@ namespace {
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
-void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-               std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  const uint64_t base = count / parts;
-  const uint64_t rem = count % parts;
-  uint64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const uint64_t len = base + (static_cast<uint64_t>(i) < rem ? 1 : 0);
-    (*offsets)[i] = off;
-    (*counts)[i] = len;
-    off += len;
-  }
-}
-
 }  // namespace
 
 void CollectiveGroup::StartInNetwork(const std::shared_ptr<Op>& op) {

@@ -1,9 +1,10 @@
 // Private state of CollectiveGroup, shared by the algorithm translation units
-// (collective_group.cc, ring_allreduce.cc, naive_allreduce.cc, broadcast.cc).
+// (collective_group.cc and the per-schedule *_allreduce.cc / broadcast.cc).
 // Not part of the public API.
 #ifndef RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 #define RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -15,6 +16,34 @@
 
 namespace rdmadl {
 namespace collective {
+
+// Piece |c| of the near-equal split of |count| elements into |parts|: it
+// gets count/parts elements plus one of the first count%parts remainders.
+// Every schedule partitions lanes and chunks with this one formula, so the
+// conformance suite can compare their outputs byte for byte.
+struct ChunkRange {
+  uint64_t offset = 0;  // Elements, from the start of the split range.
+  uint64_t count = 0;   // Elements.
+};
+
+inline ChunkRange NearEqualChunk(uint64_t count, int parts, int c) {
+  const uint64_t base = count / parts;
+  const uint64_t rem = count % parts;
+  const uint64_t idx = static_cast<uint64_t>(c);
+  return ChunkRange{idx * base + std::min<uint64_t>(idx, rem), base + (idx < rem ? 1 : 0)};
+}
+
+// The whole split: offsets and counts of all |parts| pieces.
+inline void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
+                      std::vector<uint64_t>* counts) {
+  offsets->resize(parts);
+  counts->resize(parts);
+  for (int i = 0; i < parts; ++i) {
+    const ChunkRange piece = NearEqualChunk(count, parts, i);
+    (*offsets)[i] = piece.offset;
+    (*counts)[i] = piece.count;
+  }
+}
 
 // Per-rank resources, all set up once at group creation (§3.2 static
 // placement: nothing on the collective critical path ever allocates or

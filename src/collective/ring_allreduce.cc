@@ -34,40 +34,6 @@
 namespace rdmadl {
 namespace collective {
 
-namespace {
-
-// Near-equal partition of |count| elements into |parts|: piece i gets
-// count/parts elements plus one of the first count%parts remainders.
-void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-               std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  const uint64_t base = count / parts;
-  const uint64_t rem = count % parts;
-  uint64_t off = 0;
-  for (int i = 0; i < parts; ++i) {
-    const uint64_t len = base + (static_cast<uint64_t>(i) < rem ? 1 : 0);
-    (*offsets)[i] = off;
-    (*counts)[i] = len;
-    off += len;
-  }
-}
-
-struct ChunkRange {
-  uint64_t offset = 0;  // Elements, relative to the lane start.
-  uint64_t count = 0;   // Elements.
-};
-
-ChunkRange LaneChunk(uint64_t lane_count, int n, int c) {
-  const uint64_t base = lane_count / n;
-  const uint64_t rem = lane_count % n;
-  const uint64_t idx = static_cast<uint64_t>(c);
-  return ChunkRange{idx * base + std::min<uint64_t>(idx, rem),
-                    base + (idx < rem ? 1 : 0)};
-}
-
-}  // namespace
-
 void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_scatter,
                                 bool do_all_gather) {
   const int n = size();
@@ -104,7 +70,7 @@ void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_sc
 
       auto post_rs = [this, op, r, l, succ, lane_off, lane_cnt, delta, n, flag_base](int s) {
         const int send_chunk = ((r - s + delta) % n + n) % n;
-        const ChunkRange chunk = LaneChunk(lane_cnt, n, send_chunk);
+        const ChunkRange chunk = NearEqualChunk(lane_cnt, n, send_chunk);
         Rank* self = ranks_[r].get();
         const Rank::PeerAddrs& peer = self->peers[succ];
         const uint64_t slot_off =
@@ -117,7 +83,7 @@ void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_sc
       auto post_ag = [this, op, r, l, succ, lane_off, lane_cnt, owner, n, flag_base,
                       steps_rs](int t) {
         const int send_chunk = ((owner - t) % n + n) % n;
-        const ChunkRange chunk = LaneChunk(lane_cnt, n, send_chunk);
+        const ChunkRange chunk = NearEqualChunk(lane_cnt, n, send_chunk);
         Rank* self = ranks_[r].get();
         const Rank::PeerAddrs& peer = self->peers[succ];
         const uint64_t byte_off = (lane_off + chunk.offset) * sizeof(float);
@@ -141,7 +107,7 @@ void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_sc
           // carries, then (causally after the reduce) send the next step.
           const int s = index;
           const int recv_chunk = ((r - s - 1 + delta) % n + n) % n;
-          const ChunkRange chunk = LaneChunk(lane_cnt, n, recv_chunk);
+          const ChunkRange chunk = NearEqualChunk(lane_cnt, n, recv_chunk);
           const uint64_t bytes = chunk.count * sizeof(float);
           simulator()->ScheduleAfter(
               ReduceNs(bytes),

@@ -1,8 +1,10 @@
 #include "src/comm/zerocopy_mechanism.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,6 +32,11 @@ namespace {
 //   [u32 dtype][u32 ndims][i64 dims[rank]][u64 src_addr][u32 src_rkey]
 //   [u64 payload_bytes][u8 flag]
 size_t MetadataBytes(int rank) { return 4 + 4 + 8 * rank + 8 + 4 + 8 + 1; }
+
+// Device-route payloads are carved into SG extents of at most this many
+// bytes; the extents ride one SG-WR per lane stripe (one doorbell, one CQE
+// each).
+constexpr uint64_t kGdrSgExtentBytes = 1ull << 20;
 
 int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
   return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
@@ -89,12 +96,16 @@ struct ZeroCopyRdmaMechanism::EdgeState {
   Tensor hold;
   std::vector<void*> staging_to_free_at_step;  // Freed on BeginStep (dynamic staging).
 
+  // Buffers SetupEdge carved from the arenas, with the allocator each came
+  // from; returned on teardown. At most two per edge: the receive buffer or
+  // metadata block, then a separate flag or the sender's metadata staging.
+  std::array<std::pair<tensor::Allocator*, void*>, 2> carve_outs{};
+  int num_carve_outs = 0;
+
   // ---- Degradation ladder (survives ResetTransientState by design) ----
   EdgePath path = EdgePath::kZeroCopy;
   int consecutive_failures = 0;  // Zero-copy send failures in a row.
   int degraded_successes = 0;    // Clean degraded sends since demotion.
-  // Rung a failed probation probe falls back to (kStagedPcie or kDegraded).
-  EdgePath probation_from = EdgePath::kDegraded;
 };
 
 ZeroCopyRdmaMechanism::ZeroCopyRdmaMechanism(runtime::Cluster* cluster, ZeroCopyOptions options)
@@ -106,43 +117,7 @@ ZeroCopyRdmaMechanism::~ZeroCopyRdmaMechanism() {
   // surviving hosts) can re-carve receive buffers from the same registered
   // arenas. Stale "zc_addr" handlers are overwritten by the next Setup on
   // every host that still receives.
-  for (auto& [key, s] : edges_) {
-    if (s->flag_ptr != nullptr) {
-      check::OnFlagForgotten(s->dst->endpoint().host_id, s->flag_ptr);
-    }
-    if (s->protocol == Protocol::kStatic) {
-      if (s->remote_data.addr != 0) {
-        StatusOr<RdmaArena*> arena =
-            s->device_route ? s->dst->gpu_arena() : s->dst->rdma_arena();
-        if (arena.ok()) {
-          (*arena)->allocator->Deallocate(reinterpret_cast<void*>(s->remote_data.addr));
-        }
-      }
-      // Device-route flags live in the meta arena in every memory mode (GPU
-      // payload bytes are never host-pollable), virtual-mode flags always do.
-      if ((!s->dst->real_memory() || s->device_route) && s->flag_ptr != nullptr) {
-        StatusOr<RdmaArena*> meta = s->dst->meta_arena();
-        if (meta.ok()) (*meta)->allocator->Deallocate(s->flag_ptr);
-      }
-    } else {
-      if (s->meta_block != nullptr) {
-        StatusOr<RdmaArena*> meta = s->dst->meta_arena();
-        if (meta.ok()) (*meta)->allocator->Deallocate(s->meta_block);
-      }
-      if (s->src_meta_staging != nullptr) {
-        StatusOr<RdmaArena*> meta = s->src->meta_arena();
-        if (meta.ok()) (*meta)->allocator->Deallocate(s->src_meta_staging);
-      }
-    }
-    if (!s->staging_to_free_at_step.empty()) {
-      StatusOr<RdmaArena*> arena = s->src->rdma_arena();
-      if (arena.ok()) {
-        for (void* ptr : s->staging_to_free_at_step) {
-          (*arena)->allocator->Deallocate(ptr);
-        }
-      }
-    }
-  }
+  for (auto& [key, s] : edges_) ReleaseEdge(s.get());
   // The per-host "flag = 1" source bytes are carved from the meta arenas too;
   // a rebuilt mechanism re-carves its own, so return them as well (leaving
   // them would leak one byte per host per rebuild — found by RdmaCheck).
@@ -184,6 +159,7 @@ void ZeroCopyRdmaMechanism::Setup(const std::vector<graph::TransferEdge>& edges,
     state->dst = cluster_->host(edge.dst_device);
     Status s = SetupEdge(state.get());
     if (!s.ok()) {
+      ReleaseEdge(state.get());
       setup_status = s;
       break;
     }
@@ -264,17 +240,11 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
   // Route planner. Device-to-device first: a static-shape edge whose two
   // endpoints both keep the tensor in a GDR-registered GPU arena skips every
   // staging hop — the payload travels GPU-to-GPU and only the 1-byte flag
-  // lands in host memory (GPU bytes are never host-pollable, §3.5). Requires
-  // a wholesale-registered receiver arena: an on-demand (gdr_on_demand)
-  // receiver has no rkey to advertise at setup time, so such edges take the
-  // dynamic host-metadata protocol as before.
+  // lands in host memory (GPU bytes are never host-pollable, §3.5).
   if (shape_static && !options_.force_dynamic && src_gdr && dst_gdr &&
-      options_.gdr_device_routes) {
-    StatusOr<RdmaArena*> dst_gpu = s->dst->gpu_arena();
-    if (dst_gpu.ok() && (*dst_gpu)->rkey != 0) {
-      s->protocol = Protocol::kStatic;
-      s->device_route = true;
-    }
+      options_.gdr_device_routes && s->dst->gpu_arena().ok()) {
+    s->protocol = Protocol::kStatic;
+    s->device_route = true;
   }
   if (!s->device_route) {
     // §3.5: remaining GPUDirect edges use the dynamic protocol (metadata
@@ -291,11 +261,17 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
 
   RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_meta, s->dst->meta_arena());
   RDMADL_ASSIGN_OR_RETURN(RdmaArena * src_meta, s->src->meta_arena());
+  // Every buffer carved here is recorded with its arena for teardown.
+  auto carve = [s](RdmaArena* arena, uint64_t bytes) {
+    void* ptr = arena->allocator->Allocate(bytes);
+    if (ptr != nullptr) s->carve_outs.at(s->num_carve_outs++) = {arena->allocator.get(), ptr};
+    return static_cast<uint8_t*>(ptr);
+  };
 
   if (s->protocol == Protocol::kStatic && s->device_route) {
     const uint64_t bytes = edge.shape.num_elements() * tensor::DTypeSize(edge.dtype);
     RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_gpu, s->dst->gpu_arena());
-    uint8_t* buf = static_cast<uint8_t*>(dst_gpu->allocator->Allocate(bytes));
+    uint8_t* buf = carve(dst_gpu, bytes);
     if (buf == nullptr) {
       return ResourceExhausted(StrCat("receive GPU arena exhausted on ", edge.dst_device));
     }
@@ -305,7 +281,7 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
     // The flag cannot ride at the payload tail here: the tail is GPU memory
     // the receiver's poll loop cannot touch. It lives in the always-real
     // metadata arena instead, written after every payload extent completes.
-    s->flag_ptr = static_cast<uint8_t*>(dst_meta->allocator->Allocate(1));
+    s->flag_ptr = carve(dst_meta, 1);
     if (s->flag_ptr == nullptr) return ResourceExhausted("meta arena exhausted");
     s->remote_flag =
         RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->rkey, 1};
@@ -315,7 +291,7 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
     const uint64_t bytes = edge.shape.num_elements() * tensor::DTypeSize(edge.dtype);
     RDMADL_ASSIGN_OR_RETURN(RdmaArena * dst_arena, s->dst->rdma_arena());
     // +1: room for the tail completion flag (§3.2).
-    uint8_t* buf = static_cast<uint8_t*>(dst_arena->allocator->Allocate(bytes + 1));
+    uint8_t* buf = carve(dst_arena, bytes + 1);
     if (buf == nullptr) {
       return ResourceExhausted(StrCat("receive arena exhausted on ", edge.dst_device));
     }
@@ -331,7 +307,7 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
     } else {
       // Virtual-memory mode: the data buffer is a fake address, so the flag
       // lives in the always-real metadata arena instead.
-      s->flag_ptr = static_cast<uint8_t*>(dst_meta->allocator->Allocate(1));
+      s->flag_ptr = carve(dst_meta, 1);
       if (s->flag_ptr == nullptr) return ResourceExhausted("meta arena exhausted");
       s->remote_flag =
           RemoteRegion{reinterpret_cast<uint64_t>(s->flag_ptr), dst_meta->rkey, 1};
@@ -341,14 +317,13 @@ Status ZeroCopyRdmaMechanism::SetupEdge(EdgeState* s) {
         s->dst->options().tensors_on_gpu && !s->dst->options().gpudirect;
   } else {
     s->meta_bytes = MetadataBytes(edge.shape.num_dims());
-    s->meta_block = static_cast<uint8_t*>(dst_meta->allocator->Allocate(s->meta_bytes));
+    s->meta_block = carve(dst_meta, s->meta_bytes);
     if (s->meta_block == nullptr) return ResourceExhausted("meta arena exhausted");
     std::memset(s->meta_block, 0, s->meta_bytes);
     s->flag_ptr = s->meta_block + s->meta_bytes - 1;
     s->remote_meta = RemoteRegion{reinterpret_cast<uint64_t>(s->meta_block), dst_meta->rkey,
                                   s->meta_bytes};
-    s->src_meta_staging =
-        static_cast<uint8_t*>(src_meta->allocator->Allocate(s->meta_bytes));
+    s->src_meta_staging = carve(src_meta, s->meta_bytes);
     if (s->src_meta_staging == nullptr) return ResourceExhausted("meta arena exhausted");
     s->src_meta_lkey = src_meta->lkey;
   }
@@ -409,16 +384,27 @@ void ZeroCopyRdmaMechanism::BeginStep(int64_t step) {
   }
   for (auto& [key, state] : edges_) {
     state->hold = Tensor();
-    if (!state->staging_to_free_at_step.empty()) {
-      StatusOr<RdmaArena*> arena = state->src->rdma_arena();
-      if (arena.ok()) {
-        for (void* ptr : state->staging_to_free_at_step) {
-          (*arena)->allocator->Deallocate(ptr);
-        }
-      }
-      state->staging_to_free_at_step.clear();
-    }
+    FreeStepStaging(state.get());
   }
+}
+
+void ZeroCopyRdmaMechanism::ReleaseEdge(EdgeState* s) {
+  if (s->flag_ptr != nullptr) {
+    check::OnFlagForgotten(s->dst->endpoint().host_id, s->flag_ptr);
+  }
+  for (int i = 0; i < s->num_carve_outs; ++i) {
+    s->carve_outs[i].first->Deallocate(s->carve_outs[i].second);
+  }
+  FreeStepStaging(s);
+}
+
+void ZeroCopyRdmaMechanism::FreeStepStaging(EdgeState* s) {
+  if (s->staging_to_free_at_step.empty()) return;
+  StatusOr<RdmaArena*> arena = s->src->rdma_arena();
+  if (arena.ok()) {
+    for (void* ptr : s->staging_to_free_at_step) (*arena)->allocator->Deallocate(ptr);
+  }
+  s->staging_to_free_at_step.clear();
 }
 
 void ZeroCopyRdmaMechanism::ResetTransientState() {
@@ -476,248 +462,138 @@ int64_t ZeroCopyRdmaMechanism::Send(const graph::TransferEdge& edge, const Tenso
   auto it = edges_.find(edge.key);
   CHECK(it != edges_.end()) << "unknown edge " << edge.key;
   EdgeState* s = it->second.get();
-  HostRuntime* src = s->src;
-  sim::Simulator* simulator = src->simulator();
-  const uint64_t bytes = tensor.TotalBytes();
-  const void* ptr = tensor.raw_data();
   s->hold = tensor;
 
   // §3.4 dynamic analysis: learn the allocation site of every transferred
   // buffer so later iterations allocate it RDMA-accessible directly.
   if (options_.graph_analysis) {
-    analysis(src).tracer.RecordTransfer(ptr);
+    analysis(s->src).tracer.RecordTransfer(tensor.raw_data());
   }
 
-  // Degradation ladder gate: a demoted edge stays on the staged TCP path
-  // until its probation window opens, at which point one send re-probes the
-  // zero-copy path (falling through below).
-  if (options_.enable_ladder && s->path == EdgePath::kDegraded) {
-    if (s->degraded_successes >= options_.ladder_probation_after) {
-      s->path = EdgePath::kProbation;
-      s->probation_from = EdgePath::kDegraded;
-      ++stats_.probation_probes;
-      TraceLadder(simulator->Now(), s->edge.key, " probation probe");
-    } else {
+  // 1. Ladder gate: a demoted edge stays on the staged TCP path until its
+  // probation window opens, at which point one send re-probes zero-copy.
+  if (s->path == EdgePath::kDegraded) {
+    if (s->degraded_successes < kLadderProbationAfter) {
       return SendDegraded(s, tensor, std::move(on_sent));
     }
-  }
-  // PCIe rung: a GPU edge demoted off its device route keeps staging through
-  // host memory (still one-sided RDMA on the wire) until probation reopens
-  // the zero-copy attempt.
-  bool force_pcie_staging = false;
-  if (options_.enable_ladder && s->path == EdgePath::kStagedPcie) {
-    if (s->degraded_successes >= options_.ladder_probation_after) {
-      s->path = EdgePath::kProbation;
-      s->probation_from = EdgePath::kStagedPcie;
-      ++stats_.probation_probes;
-      TraceLadder(simulator->Now(), s->edge.key, " pcie-rung probation probe");
-    } else {
-      force_pcie_staging = true;
-    }
+    s->path = EdgePath::kProbation;
+    ++stats_.probation_probes;
+    TraceLadder(s->src->simulator()->Now(), s->edge.key, " probation probe");
   }
 
-  // Classify the source buffer.
+  // 2. Resolve the source buffer. A staging copy that cannot be placed
+  // (MR-registration or arena exhaustion) demotes the edge and serves this
+  // very send over the staged TCP path instead of failing the step.
+  StatusOr<Source> source = ResolveSource(s, tensor);
+  if (!source.ok()) {
+    LadderDemote(s, source.status().message());
+    return SendDegraded(s, tensor, std::move(on_sent));
+  }
+
+  // 3-4. One post once the bytes are ready, by protocol.
+  on_sent = WrapLadder(s, std::move(on_sent));
+  s->src->simulator()->ScheduleAfter(
+      source->delay_ns,
+      [this, s, src = *source, tensor, on_sent = std::move(on_sent)]() mutable {
+        if (src.staging != nullptr && s->protocol == Protocol::kStatic) {
+          // Static staging can be freed as soon as the write completes.
+          on_sent = [s, staging = src.staging, inner = std::move(on_sent)](Status status) {
+            StatusOr<RdmaArena*> arena = s->src->rdma_arena();
+            if (arena.ok()) (*arena)->allocator->Deallocate(staging);
+            inner(status);
+          };
+        } else if (src.staging != nullptr) {
+          // Dynamic staging must survive until the receiver's RDMA read, i.e.
+          // until the step boundary.
+          s->staging_to_free_at_step.push_back(src.staging);
+        }
+        if (s->protocol == Protocol::kStatic) {
+          PostWrites(s, src.ptr, src.lkey, tensor.TotalBytes(), std::move(on_sent));
+        } else {
+          PostMetadataWrite(s, src.ptr, src.rkey, tensor, std::move(on_sent));
+        }
+      });
+  return source->blocking_ns;
+}
+
+StatusOr<ZeroCopyRdmaMechanism::Source> ZeroCopyRdmaMechanism::ResolveSource(
+    EdgeState* s, const Tensor& tensor) {
+  HostRuntime* src = s->src;
+  const uint64_t bytes = tensor.TotalBytes();
+  const void* ptr = tensor.raw_data();
   StatusOr<const RdmaArena*> registered = src->ArenaFor(ptr);
   const bool in_gpu = [&] {
     StatusOr<RdmaArena*> gpu = src->gpu_arena();
     return src->options().tensors_on_gpu && gpu.ok() && (*gpu)->Contains(ptr);
   }();
+  Source out;
 
-  if (registered.ok() && !force_pcie_staging) {
-    // Zero-copy path: the buffer is already RDMA-accessible (host arena, or
-    // GPU arena under GPUDirect).
+  // In place: the buffer is already RDMA-accessible (host arena, or GPU arena
+  // under GPUDirect).
+  if (registered.ok()) {
     ++stats_.zero_copy_sends;
     if (in_gpu) ++stats_.device_zero_copy_sends;  // No staging hop at all.
-    if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-    const void* send_ptr = ptr;
-    const uint32_t lkey = (*registered)->lkey;
-    simulator->ScheduleAfter(0, [this, s, send_ptr, lkey, bytes, tensor,
-                                 on_sent = std::move(on_sent)]() mutable {
-      if (s->protocol == Protocol::kStatic) {
-        PostWrites(s, send_ptr, lkey, bytes, std::move(on_sent));
-      } else {
-        PostMetadataWrite(s, send_ptr, lkey, bytes, tensor, std::move(on_sent));
-      }
-    });
-    return 0;
-  }
-
-  // On-demand GDR (§3.5 extended): the GPU arena was left unregistered at
-  // creation, so register the outgoing extent through the device-domain MR
-  // cache and send zero-copy in place. Registration exhaustion demotes one
-  // rung, to explicit PCIe staging — not straight to TCP.
-  if (in_gpu && !force_pcie_staging && src->options().gpudirect &&
-      src->options().gdr_on_demand) {
-    TransferEngine* engine = engine_for(src);
-    StatusOr<TransferEngine::MrHandle> cached =
-        engine->GetOrRegisterMr(ptr, bytes, TransferEngine::MemDomain::kDevice);
-    if (cached.ok()) {
-      ++stats_.device_mr_cache_sends;
-      if (cached->hit) {
-        ++stats_.mr_cache_hits;
-      } else {
-        ++stats_.mr_cache_misses;
-      }
-      stats_.mr_cache_evictions += cached->evictions;
-      ++stats_.zero_copy_sends;
-      ++stats_.device_zero_copy_sends;
-      if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-      const int64_t register_ns = cached->register_ns;
-      const void* send_ptr = ptr;
-      const uint32_t cached_lkey = cached->lkey;
-      const uint32_t cached_rkey = cached->rkey;
-      simulator->ScheduleAfter(
-          register_ns, [this, s, send_ptr, cached_lkey, cached_rkey, bytes, tensor,
-                        on_sent = std::move(on_sent)]() mutable {
-            if (s->protocol == Protocol::kStatic) {
-              PostWrites(s, send_ptr, cached_lkey, bytes, std::move(on_sent));
-            } else {
-              PostMetadataWrite(s, send_ptr, cached_lkey, bytes, tensor, std::move(on_sent),
-                                cached_rkey);
-            }
-          });
-      return register_ns;
-    }
-    if (options_.enable_ladder && s->path != EdgePath::kProbation) {
-      LadderDemotePcie(s, "device MR registration exhausted");
-      force_pcie_staging = true;
-    } else if (options_.enable_ladder) {
-      // The probe itself could not even register: back down the rung it came
-      // from without burning a wire attempt.
-      s->path = s->probation_from;
-      s->degraded_successes = 0;
-      if (s->path == EdgePath::kStagedPcie) force_pcie_staging = true;
-    }
-    // Fall through to the staging path below.
-  }
-
-  if (force_pcie_staging) {
-    // Count the send against the PCIe rung and track its probation window.
-    ++stats_.pcie_fallback_sends;
-    on_sent = [this, s, inner = std::move(on_sent)](Status status) {
-      if (status.ok()) {
-        ++s->degraded_successes;
-      } else {
-        s->degraded_successes = 0;
-      }
-      inner(status);
-    };
+    out.ptr = ptr;
+    out.lkey = (*registered)->lkey;
+    out.rkey = (*registered)->rkey;
+    return out;
   }
 
   // MR registration cache (§3.4 registration pressure): instead of staging,
   // register the buffer's pages through the extent cache and send zero-copy
   // in place. Repeat sends of the same buffer hit the cache and skip the
-  // pinning cost entirely.
+  // pinning cost entirely. NIC/capacity exhaustion falls through to staging.
   if (options_.use_mr_cache && !in_gpu) {
-    TransferEngine* engine = engine_for(src);
-    StatusOr<TransferEngine::MrHandle> cached = engine->GetOrRegisterMr(ptr, bytes);
+    StatusOr<TransferEngine::MrHandle> cached = engine_for(src)->GetOrRegisterMr(ptr, bytes);
     if (cached.ok()) {
       ++stats_.mr_cache_sends;
-      if (cached->hit) {
-        ++stats_.mr_cache_hits;
-      } else {
-        ++stats_.mr_cache_misses;
-      }
+      ++(cached->hit ? stats_.mr_cache_hits : stats_.mr_cache_misses);
       stats_.mr_cache_evictions += cached->evictions;
       ++stats_.zero_copy_sends;  // No staging copy: the pages serve in place.
-      if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-      const int64_t register_ns = cached->register_ns;
-      const void* send_ptr = ptr;
-      const uint32_t cached_lkey = cached->lkey;
-      const uint32_t cached_rkey = cached->rkey;
-      simulator->ScheduleAfter(
-          register_ns, [this, s, send_ptr, cached_lkey, cached_rkey, bytes, tensor,
-                        on_sent = std::move(on_sent)]() mutable {
-            if (s->protocol == Protocol::kStatic) {
-              PostWrites(s, send_ptr, cached_lkey, bytes, std::move(on_sent));
-            } else {
-              PostMetadataWrite(s, send_ptr, cached_lkey, bytes, tensor, std::move(on_sent),
-                                cached_rkey);
-            }
-          });
-      return register_ns;  // Page pinning runs on the issuing thread (§3.4).
+      out.ptr = ptr;
+      out.lkey = cached->lkey;
+      out.rkey = cached->rkey;
+      // Page pinning runs on the issuing thread (§3.4).
+      out.delay_ns = out.blocking_ns = cached->register_ns;
+      return out;
     }
-    // NIC/capacity exhaustion: fall through to the staging path.
   }
 
-  // Staging path: allocate an RDMA-accessible buffer and copy into it.
-  StatusOr<RdmaArena*> arena_or = src->rdma_arena();
-  if (!arena_or.ok()) {
-    // MR-registration exhaustion (or any arena failure): with the ladder on,
-    // demote the edge and serve this very send over the staged TCP path
-    // instead of failing the step.
-    if (options_.enable_ladder) {
-      LadderDemote(s, "rdma arena unavailable");
-      return SendDegraded(s, tensor, std::move(on_sent));
-    }
-    simulator->ScheduleAfter(0, [on_sent = std::move(on_sent), st = arena_or.status()]() {
-      on_sent(st);
-    });
-    return 0;
-  }
-  RdmaArena* arena = *arena_or;
-  void* staging = arena->allocator->Allocate(bytes);
-  if (staging == nullptr) {
-    if (options_.enable_ladder) {
-      LadderDemote(s, "sender RDMA arena exhausted");
-      return SendDegraded(s, tensor, std::move(on_sent));
-    }
-    simulator->ScheduleAfter(0, [on_sent = std::move(on_sent)]() {
-      on_sent(ResourceExhausted("sender RDMA arena exhausted"));
-    });
-    return 0;
-  }
-  const uint32_t lkey = arena->lkey;
-
-  if (options_.enable_ladder) on_sent = WrapLadder(s, std::move(on_sent));
-  auto post = [this, s, staging, lkey, bytes, tensor,
-               on_sent = std::move(on_sent)]() mutable {
-    if (s->protocol == Protocol::kStatic) {
-      // Static staging can be freed as soon as the write completes.
-      PostWrites(s, staging, lkey, bytes,
-                 [this, s, staging, on_sent = std::move(on_sent)](Status status) {
-                   StatusOr<RdmaArena*> arena = s->src->rdma_arena();
-                   if (arena.ok()) (*arena)->allocator->Deallocate(staging);
-                   on_sent(status);
-                 });
-    } else {
-      // Dynamic staging must survive until the receiver's RDMA read, i.e.
-      // until the step boundary.
-      s->staging_to_free_at_step.push_back(staging);
-      PostMetadataWrite(s, staging, lkey, bytes, tensor, std::move(on_sent));
-    }
-  };
-
+  // Staging: copy into an RDMA-accessible buffer in the sender's arena.
+  StatusOr<RdmaArena*> arena = src->rdma_arena();
+  if (!arena.ok()) return FailedPrecondition("rdma arena unavailable");
+  void* staging = (*arena)->allocator->Allocate(bytes);
+  if (staging == nullptr) return ResourceExhausted("sender RDMA arena exhausted");
+  // Real-memory runs move the bytes here for either copy; the cost model
+  // below decides when the post may read them.
+  if (src->real_memory()) std::memcpy(staging, ptr, bytes);
+  out.ptr = out.staging = staging;
+  out.lkey = (*arena)->lkey;
+  out.rkey = (*arena)->rkey;
+  const net::CostModel& cost = src->cost();
   if (in_gpu) {
     // GPU tensor without GPUDirect: DMA it into host staging over PCIe. The
     // CPU is not held; the transfer occupies the PCIe link.
     ++stats_.pcie_copies;
     stats_.pcie_bytes += bytes;
-    const net::CostModel& cost = src->cost();
     const int64_t pcie_ns =
         cost.pcie_latency_ns +
         static_cast<int64_t>(bytes / cost.pcie_bandwidth_bytes_per_sec * 1e9);
     net::Host* machine =
         src->rdma_device()->nic()->fabric()->host(src->endpoint().host_id);
-    const int64_t pcie_end = machine->pcie().Reserve(simulator->Now(), pcie_ns);
-    simulator->ScheduleAt(pcie_end, std::move(post));
-    return 0;  // DMA copy; the executor worker is not held.
+    const int64_t now = src->simulator()->Now();
+    out.delay_ns = machine->pcie().Reserve(now, pcie_ns) - now;
+    return out;
   }
-
   // Plain host-memory staging copy, on the RdmaSend op's own thread (this is
   // the copy the zero-copy analysis removes; with analysis off this is the
   // RDMA.cp baseline of Figure 8/12).
   ++stats_.staged_sends;
   stats_.staged_bytes += bytes;
-  if (src->real_memory()) {
-    std::memcpy(staging, ptr, bytes);
-  }
-  const net::CostModel& cost = src->cost();
-  const int64_t copy_ns =
+  out.delay_ns = out.blocking_ns =
       cost.arena_alloc_overhead_ns +
       static_cast<int64_t>(bytes / cost.staging_memcpy_bytes_per_sec * 1e9);
-  simulator->ScheduleAfter(copy_ns, std::move(post));
-  return copy_ns;
+  return out;
 }
 
 void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32_t lkey,
@@ -745,13 +621,12 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   flag.copy_bytes = true;
   std::span<const TransferEngine::WriteDesc> pieces(&payload, 1);
   std::vector<TransferEngine::WriteDesc> extents;
-  if (s->device_route && options_.gdr_sg_extent_bytes > 0 &&
-      bytes > options_.gdr_sg_extent_bytes) {
+  if (s->device_route && bytes > kGdrSgExtentBytes) {
     // Device route: carve the payload into SG extents and let the engine post
     // them as one scatter/gather WR per lane stripe — one doorbell and one
     // CQE per stripe instead of one per extent. The flag is posted once every
     // SG-WR has completed (§3.2, per extent).
-    const uint64_t chunk = options_.gdr_sg_extent_bytes;
+    const uint64_t chunk = kGdrSgExtentBytes;
     extents.reserve(static_cast<size_t>((bytes + chunk - 1) / chunk));
     for (uint64_t off = 0; off < bytes; off += chunk) {
       TransferEngine::WriteDesc e = payload;
@@ -770,10 +645,9 @@ void ZeroCopyRdmaMechanism::PostWrites(EdgeState* s, const void* src_ptr, uint32
   if (route == TransferEngine::Route::kCoalesced) ++stats_.coalesced_sends;
 }
 
-void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr, uint32_t lkey,
-                                              uint64_t bytes, const Tensor& tensor,
-                                              std::function<void(Status)> on_sent,
-                                              uint32_t data_rkey) {
+void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr,
+                                              uint32_t data_rkey, const Tensor& tensor,
+                                              std::function<void(Status)> on_sent) {
   // Serialize the (small, fixed-size) metadata: dims, dtype, and where the
   // receiver should read the payload from.
   uint8_t* m = s->src_meta_staging;
@@ -785,13 +659,8 @@ void ZeroCopyRdmaMechanism::PostMetadataWrite(EdgeState* s, const void* data_ptr
   }
   uint8_t* tail = m + 8 + 8 * shape.num_dims();
   PutU64(tail, reinterpret_cast<uint64_t>(data_ptr));
-  if (data_rkey == 0) {
-    StatusOr<const RdmaArena*> arena = s->src->ArenaFor(data_ptr);
-    CHECK(arena.ok()) << arena.status();
-    data_rkey = (*arena)->rkey;
-  }
   PutU32(tail + 8, data_rkey);
-  PutU64(tail + 12, bytes);
+  PutU64(tail + 12, tensor.TotalBytes());
   m[s->meta_bytes - 1] = 1;  // Tail flag, last byte to land.
 
   // Routed through the engine as body + 1-byte tail flag: metadata blocks are
@@ -887,10 +756,7 @@ void ZeroCopyRdmaMechanism::StartDynamicRead(EdgeState* s) {
 
   // Allocate the tensor storage in an RDMA-accessible region (§3.3), then
   // pull the payload with a one-sided read.
-  // On-demand receivers have no registered GPU arena to read into; they land
-  // the payload in the host arena like a non-GDR receiver.
-  const bool into_gpu = s->dst->options().tensors_on_gpu && s->dst->options().gpudirect &&
-                        !s->dst->options().gdr_on_demand;
+  const bool into_gpu = s->dst->options().tensors_on_gpu && s->dst->options().gpudirect;
   StatusOr<RdmaArena*> arena_or = into_gpu ? s->dst->gpu_arena() : s->dst->rdma_arena();
   CHECK(arena_or.ok()) << arena_or.status();
   RdmaArena* arena = *arena_or;
@@ -978,22 +844,13 @@ int64_t ZeroCopyRdmaMechanism::SendDegraded(EdgeState* s, const Tensor& tensor,
   return sender_ns;
 }
 
-void ZeroCopyRdmaMechanism::LadderDemote(EdgeState* s, const char* why) {
+void ZeroCopyRdmaMechanism::LadderDemote(EdgeState* s, std::string_view why) {
   if (s->path == EdgePath::kDegraded) return;
   s->path = EdgePath::kDegraded;
   s->consecutive_failures = 0;
   s->degraded_successes = 0;
   ++stats_.ladder_demotions;
   TraceLadder(s->src->simulator()->Now(), s->edge.key, " demoted to RPC staging: ", why);
-}
-
-void ZeroCopyRdmaMechanism::LadderDemotePcie(EdgeState* s, const char* why) {
-  if (s->path == EdgePath::kStagedPcie || s->path == EdgePath::kDegraded) return;
-  s->path = EdgePath::kStagedPcie;
-  s->consecutive_failures = 0;
-  s->degraded_successes = 0;
-  ++stats_.ladder_demotions;
-  TraceLadder(s->src->simulator()->Now(), s->edge.key, " demoted to PCIe staging: ", why);
 }
 
 void ZeroCopyRdmaMechanism::LadderPromote(EdgeState* s) {
@@ -1015,12 +872,12 @@ std::function<void(Status)> ZeroCopyRdmaMechanism::WrapLadder(
     }
     ++s->consecutive_failures;
     if (s->path == EdgePath::kProbation) {
-      // The link is still sick: back down to the rung the probe came from;
-      // probation restarts from zero clean degraded sends.
-      s->path = s->probation_from;
+      // The link is still sick: back down to degraded service; probation
+      // restarts from zero clean degraded sends.
+      s->path = EdgePath::kDegraded;
       s->degraded_successes = 0;
       TraceLadder(s->src->simulator()->Now(), s->edge.key, " probation failed");
-    } else if (s->consecutive_failures >= options_.ladder_demote_after) {
+    } else if (s->consecutive_failures >= kLadderDemoteAfter) {
       LadderDemote(s, "zero-copy failure streak");
     }
     on_sent(status.failed_edge().empty() ? status.WithFailedEdge(s->edge.key)

@@ -43,6 +43,7 @@
 #include <memory>
 #include <unordered_map>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -68,21 +69,6 @@ struct ZeroCopyOptions {
   // Off restores the pre-SG behavior: every GDR edge takes the dynamic
   // host-metadata protocol. With GDR off this flag changes nothing.
   bool gdr_device_routes = true;
-  // Device-route payloads are carved into SG extents of at most this many
-  // bytes; the extents ride one SG-WR per lane stripe (one doorbell, one CQE
-  // each). 0 posts the payload as a single extent.
-  uint64_t gdr_sg_extent_bytes = 1ull << 20;
-  // ---- Per-edge transport degradation ladder (the paper's §3.3 fallback to
-  // the RPC mechanism, made dynamic). Repeated zero-copy failures demote an
-  // edge to an RPC-style staged transfer over the TCP plane; arena or
-  // MR-registration exhaustion demotes immediately (the send that hit the
-  // wall is itself served degraded). After |ladder_probation_after| clean
-  // degraded sends the next send re-probes zero-copy and promotes back on
-  // success. Ladder state deliberately survives ResetTransientState: the
-  // whole point is remembering that an edge is unhealthy across retries.
-  bool enable_ladder = true;
-  int ladder_demote_after = 2;     // Consecutive zero-copy failures to demote.
-  int ladder_probation_after = 3;  // Clean degraded sends before re-probing.
   // ---- Transfer-engine fast path (ISSUE 5): per-sender lane striping for
   // large writes and doorbell coalescing for small ones. Both default on;
   // disable individual paths here for ablations.
@@ -94,6 +80,17 @@ struct ZeroCopyOptions {
   // behavior (RDMA.cp) and the cache changes which path such sends take.
   bool use_mr_cache = false;
 };
+
+// ---- Per-edge transport degradation ladder (the paper's §3.3 fallback to
+// the RPC mechanism, made dynamic). Repeated zero-copy failures demote an
+// edge to an RPC-style staged transfer over the TCP plane; sender-arena
+// exhaustion demotes immediately (the send that hit the wall is itself
+// served degraded). After |kLadderProbationAfter| clean degraded sends the
+// next send re-probes zero-copy and promotes back on success. Ladder state
+// deliberately survives ResetTransientState: the whole point is remembering
+// that an edge is unhealthy across retries.
+inline constexpr int kLadderDemoteAfter = 2;     // Consecutive zero-copy failures to demote.
+inline constexpr int kLadderProbationAfter = 3;  // Clean degraded sends before re-probing.
 
 struct ZeroCopyStats {
   int64_t static_transfers = 0;
@@ -112,8 +109,9 @@ struct ZeroCopyStats {
   // GPUDirect device routes (§3.5 extended).
   int64_t device_zero_copy_sends = 0;  // GPU-to-GPU sends with no staging hop.
   int64_t sg_sends = 0;                // Sends routed as scatter/gather WRs.
-  int64_t device_mr_cache_sends = 0;   // On-demand device-extent registrations.
-  int64_t pcie_fallback_sends = 0;     // Sends served on the kStagedPcie rung.
+  // Always 0: the ladder has no PCIe-staging rung. Kept because reports sum
+  // it into their fallback-send totals.
+  int64_t pcie_fallback_sends = 0;
   // Transfer engine.
   int64_t striped_sends = 0;     // Sends split across QP lanes.
   int64_t coalesced_sends = 0;   // Sends merged into doorbell batches.
@@ -123,14 +121,11 @@ struct ZeroCopyStats {
   int64_t mr_cache_evictions = 0;
 };
 
-// Which transport a degradable edge is currently on. The rungs descend
-// kZeroCopy -> kStagedPcie -> kDegraded: a GPU edge whose device route fails
-// (device MR registration exhausted) drops one rung to explicit PCIe staging
-// through the host arena (still one-sided RDMA on the wire) before the final
-// fall to TCP; probation climbs back one send at a time.
+// Which transport a degradable edge is currently on: kZeroCopy -> kDegraded
+// on demotion, kDegraded -> kProbation for one re-probe, and back to
+// kZeroCopy (probe succeeded) or kDegraded (probe failed).
 enum class EdgePath {
   kZeroCopy,    // Healthy: one-sided RDMA (static, dynamic, or device route).
-  kStagedPcie,  // GPU edge demoted to host staging over PCIe (RDMA wire).
   kDegraded,    // Demoted: RPC-style staged transfer over the TCP plane.
   kProbation,   // Re-probing zero-copy after a span of clean degraded sends.
 };
@@ -176,20 +171,39 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
 
   struct EdgeState;
 
+  // Where one send's payload is posted from, resolved once per Send.
+  struct Source {
+    const void* ptr = nullptr;  // RDMA-accessible bytes covered by |lkey|.
+    uint32_t lkey = 0;
+    uint32_t rkey = 0;          // Advertised to a dynamic receiver's read.
+    int64_t delay_ns = 0;       // Until the bytes are ready to post.
+    int64_t blocking_ns = 0;    // Of that, time the sending thread is held.
+    void* staging = nullptr;    // Sender-arena copy, freed once it is read.
+  };
+
   Status SetupEdge(EdgeState* state);
+  // Resolves |tensor|'s bytes into a Source: in place in a registered arena,
+  // through the host MR cache, or a staging copy in the sender's RDMA arena
+  // (a host memcpy, or a GPU->host PCIe DMA). Fails, naming why, when the
+  // staging copy cannot be placed.
+  StatusOr<Source> ResolveSource(EdgeState* state, const tensor::Tensor& tensor);
   // Static protocol: payload write followed by the flag-byte write, on the
-  // same QP. |src_ptr| must lie inside a registered arena covered by |lkey|.
+  // same QP. |src_ptr| must lie inside a registered region covered by |lkey|.
   // Device-route edges carve the payload into SG extents and post them as
   // one multi-piece TransferEngine::Write (one doorbell per lane stripe).
   void PostWrites(EdgeState* state, const void* src_ptr, uint32_t lkey, uint64_t bytes,
                   std::function<void(Status)> on_sent);
-  // Dynamic protocol: metadata write with the tail flag as its last byte.
-  // |data_rkey| overrides the rkey advertised for the payload (cache-
-  // registered MRs live outside the arenas); 0 derives it from ArenaFor.
-  void PostMetadataWrite(EdgeState* state, const void* data_ptr, uint32_t lkey,
-                         uint64_t bytes, const tensor::Tensor& tensor,
-                         std::function<void(Status)> on_sent, uint32_t data_rkey = 0);
+  // Dynamic protocol: metadata write with the tail flag as its last byte,
+  // advertising the payload at |data_ptr| under |data_rkey|.
+  void PostMetadataWrite(EdgeState* state, const void* data_ptr, uint32_t data_rkey,
+                         const tensor::Tensor& tensor, std::function<void(Status)> on_sent);
   void StartDynamicRead(EdgeState* state);
+  // Returns the dynamic-protocol staging copies held until the step boundary.
+  void FreeStepStaging(EdgeState* state);
+  // Teardown of one edge: forgets its flag, returns every buffer SetupEdge
+  // carved for it and its step staging, so a rebuilt mechanism can re-carve
+  // from the same arenas.
+  void ReleaseEdge(EdgeState* state);
   // The 1-byte "flag = 1" source buffer in |host|'s meta arena.
   uint8_t* FlagSource(runtime::HostRuntime* host);
 
@@ -200,9 +214,7 @@ class ZeroCopyRdmaMechanism : public runtime::TransferMechanism {
   // sender-side blocking time in ns.
   int64_t SendDegraded(EdgeState* state, const tensor::Tensor& tensor,
                        std::function<void(Status)> on_sent);
-  void LadderDemote(EdgeState* state, const char* why);
-  // One-rung demotion for GPU edges: device route -> explicit PCIe staging.
-  void LadderDemotePcie(EdgeState* state, const char* why);
+  void LadderDemote(EdgeState* state, std::string_view why);
   void LadderPromote(EdgeState* state);
   // Wraps a zero-copy on_sent callback with ladder bookkeeping (success
   // clears the failure streak / promotes a probation edge; failure counts

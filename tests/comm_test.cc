@@ -2,8 +2,14 @@
 // GPUDirect, RPC fragmentation, arena hygiene, and failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
+#include "src/check/testing.h"
 #include "src/comm/rpc_mechanism.h"
 #include "src/comm/zerocopy_mechanism.h"
 #include "src/runtime/session.h"
@@ -11,6 +17,8 @@
 namespace rdmadl {
 namespace comm {
 namespace {
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 using graph::Graph;
 using graph::Node;
@@ -208,6 +216,252 @@ TEST(ZeroCopyProtocolTest, SetupRegistersFewMemoryRegions) {
   EXPECT_LE(cluster->host("ps:0")->rdma_device()->nic()->num_registered_regions(), 8);
   EXPECT_LE(cluster->host("worker:0")->rdma_device()->nic()->num_registered_regions(), 8);
 }
+
+// ---------------------------------------------------------------------------
+// Send's source classes, pinned: each row places the outgoing tensor in one
+// kind of memory and drives Send directly, once per step (twice for the MR
+// cache: a miss, then a hit on the same buffer), under the static and the
+// dynamic protocol. Per send it records the returned blocking ns and the
+// virtual ns, from the Send call, at which the receiver's TryRecv succeeds;
+// per row the ZeroCopyStats deltas and the edge's final ladder rung.
+// ---------------------------------------------------------------------------
+
+enum class SourceClass {
+  kRegisteredHostArena,   // Sender's RDMA arena: zero-copy in place.
+  kUnregisteredStaged,    // Plain heap, MR cache off: staging copy.
+  kUnregisteredMrCache,   // Plain heap, MR cache on: miss, then hit.
+  kGpuWithoutGdr,         // GPU arena, no GDR: PCIe DMA into host staging.
+  kGpuWithGdr,            // GDR-registered GPU arena: zero-copy in place.
+  kSenderArenaExhausted,  // No staging room: demoted, served degraded.
+};
+
+struct SourceCase {
+  SourceClass source;
+  bool dynamic;  // ZeroCopyOptions::force_dynamic.
+};
+
+struct SendDeltas {
+  int64_t zero_copy_sends = 0;
+  int64_t device_zero_copy_sends = 0;
+  int64_t staged_sends = 0;
+  uint64_t staged_bytes = 0;
+  int64_t pcie_copies = 0;
+  uint64_t pcie_bytes = 0;
+  int64_t mr_cache_sends = 0;
+  int64_t mr_cache_hits = 0;
+  int64_t mr_cache_misses = 0;
+  int64_t degraded_sends = 0;
+  int64_t ladder_demotions = 0;
+  int64_t static_transfers = 0;
+  int64_t dynamic_transfers = 0;
+  int64_t coalesced_sends = 0;
+
+  bool operator==(const SendDeltas&) const = default;
+};
+
+SendDeltas Delta(const ZeroCopyStats& after, const ZeroCopyStats& before) {
+  SendDeltas d;
+  d.zero_copy_sends = after.zero_copy_sends - before.zero_copy_sends;
+  d.device_zero_copy_sends = after.device_zero_copy_sends - before.device_zero_copy_sends;
+  d.staged_sends = after.staged_sends - before.staged_sends;
+  d.staged_bytes = after.staged_bytes - before.staged_bytes;
+  d.pcie_copies = after.pcie_copies - before.pcie_copies;
+  d.pcie_bytes = after.pcie_bytes - before.pcie_bytes;
+  d.mr_cache_sends = after.mr_cache_sends - before.mr_cache_sends;
+  d.mr_cache_hits = after.mr_cache_hits - before.mr_cache_hits;
+  d.mr_cache_misses = after.mr_cache_misses - before.mr_cache_misses;
+  d.degraded_sends = after.degraded_sends - before.degraded_sends;
+  d.ladder_demotions = after.ladder_demotions - before.ladder_demotions;
+  d.static_transfers = after.static_transfers - before.static_transfers;
+  d.dynamic_transfers = after.dynamic_transfers - before.dynamic_transfers;
+  d.coalesced_sends = after.coalesced_sends - before.coalesced_sends;
+  return d;
+}
+
+std::ostream& operator<<(std::ostream& os, const SendDeltas& d) {
+  return os << "{zc=" << d.zero_copy_sends << " dev_zc=" << d.device_zero_copy_sends
+            << " staged=" << d.staged_sends << "/" << d.staged_bytes << "B pcie=" << d.pcie_copies
+            << "/" << d.pcie_bytes << "B mr=" << d.mr_cache_sends << " hit=" << d.mr_cache_hits
+            << " miss=" << d.mr_cache_misses << " degraded=" << d.degraded_sends
+            << " demoted=" << d.ladder_demotions << " static=" << d.static_transfers
+            << " dynamic=" << d.dynamic_transfers << " coalesced=" << d.coalesced_sends << "}";
+}
+
+struct SourceOutcome {
+  std::vector<int64_t> blocking_ns;  // Send's return value, per send.
+  std::vector<int64_t> recv_ns;      // TryRecv success, from the Send call.
+  SendDeltas deltas;
+  EdgePath path = EdgePath::kZeroCopy;
+};
+
+constexpr int64_t kSourceElements = 4096;  // 16 KiB: above the coalescing threshold.
+constexpr uint64_t kSourceBytes = kSourceElements * sizeof(float);
+
+// Pinned virtual times, per source class. Registered sources post at once;
+// the host staging copy holds the sender 1609 ns and delays the post by as
+// much; the first MR-cache send pins its 4 pages for 40880 ns and the second
+// hits; the PCIe DMA delays the post 2938 ns without holding the sender; the
+// degraded path blocks for serialization.
+SourceOutcome ExpectedSourceOutcome(const SourceCase& c) {
+  // The payload write takes the direct route; only the dynamic protocol's
+  // small metadata block is coalesced. A GDR sender always runs the dynamic
+  // protocol (§3.5), so both columns of that row coincide.
+  const bool dynamic = c.dynamic || c.source == SourceClass::kGpuWithGdr;
+  const int64_t in_place_ns = dynamic ? 6'167 : 4'515;
+  SourceOutcome out;
+  SendDeltas& d = out.deltas;
+  (dynamic ? d.dynamic_transfers : d.static_transfers) = 1;
+  d.coalesced_sends = dynamic ? 1 : 0;
+  switch (c.source) {
+    case SourceClass::kRegisteredHostArena:
+      out.blocking_ns = {0};
+      out.recv_ns = {in_place_ns};
+      d.zero_copy_sends = 1;
+      break;
+    case SourceClass::kUnregisteredStaged:
+      out.blocking_ns = {1'609};
+      out.recv_ns = {dynamic ? 7'776 : 6'124};
+      d.staged_sends = 1;
+      d.staged_bytes = kSourceBytes;
+      break;
+    case SourceClass::kUnregisteredMrCache:
+      out.blocking_ns = {40'880, 0};
+      out.recv_ns = {dynamic ? 47'047 : 45'395, in_place_ns};
+      d.zero_copy_sends = 2;
+      d.mr_cache_sends = 2;
+      d.mr_cache_hits = 1;
+      d.mr_cache_misses = 1;
+      d.coalesced_sends *= 2;
+      (dynamic ? d.dynamic_transfers : d.static_transfers) = 2;
+      break;
+    case SourceClass::kGpuWithoutGdr:
+      out.blocking_ns = {0};
+      out.recv_ns = {dynamic ? 9'105 : 7'453};
+      d.pcie_copies = 1;
+      d.pcie_bytes = kSourceBytes;
+      break;
+    case SourceClass::kGpuWithGdr:
+      out.blocking_ns = {0};
+      out.recv_ns = {in_place_ns};
+      d.zero_copy_sends = 1;
+      d.device_zero_copy_sends = 1;
+      break;
+    case SourceClass::kSenderArenaExhausted:
+      out.blocking_ns = {111'927};
+      out.recv_ns = {187'955};
+      d.degraded_sends = 1;
+      d.ladder_demotions = 1;
+      d.coalesced_sends = 0;
+      out.path = EdgePath::kDegraded;
+      break;
+  }
+  return out;
+}
+
+class SendSourceTest : public ::testing::TestWithParam<SourceCase> {};
+
+TEST_P(SendSourceTest, PinsBlockingStatsPathAndArrival) {
+  const SourceCase& c = GetParam();
+  // Unregistered host memory, page-aligned so that an MR-cache registration
+  // covers exactly the tensor's pages wherever the heap puts the backing.
+  // Declared first: the mechanism holds the sent tensor until it is destroyed.
+  constexpr uintptr_t kPage = 4096;
+  std::vector<uint8_t> host_backing(kSourceBytes + kPage);
+  void* host_buffer = host_backing.data() +
+                      (kPage - reinterpret_cast<uintptr_t>(host_backing.data()) % kPage) % kPage;
+  const bool gpu =
+      c.source == SourceClass::kGpuWithoutGdr || c.source == SourceClass::kGpuWithGdr;
+  auto cluster = MakeCluster(2, ops::ComputeMode::kReal, gpu,
+                             /*gdr=*/c.source == SourceClass::kGpuWithGdr);
+  auto graph = GradientGraph(kSourceElements);  // worker:0 -> ps:0.
+  ZeroCopyOptions options;
+  options.force_dynamic = c.dynamic;
+  options.use_mr_cache = c.source == SourceClass::kUnregisteredMrCache;
+  ZeroCopyRdmaMechanism mech(cluster.get(), options);
+  DistributedSession session(cluster.get(), &mech, graph.get(), SessionOptions{});
+  ASSERT_TRUE(session.Setup().ok());
+  ASSERT_EQ(session.transfer_edges().size(), 1u);
+  const graph::TransferEdge& edge = session.transfer_edges()[0];
+
+  runtime::HostRuntime* worker = cluster->host("worker:0");
+  Tensor source(std::make_shared<tensor::Buffer>(host_buffer, kSourceBytes), DType::kFloat32,
+                TensorShape{kSourceElements});
+  if (c.source == SourceClass::kRegisteredHostArena) {
+    source = Tensor((*worker->rdma_arena())->allocator.get(), DType::kFloat32,
+                    TensorShape{kSourceElements});
+  } else if (gpu) {
+    source = Tensor((*worker->gpu_arena())->allocator.get(), DType::kFloat32,
+                    TensorShape{kSourceElements});
+  }
+  std::fill_n(source.data<float>(), kSourceElements, 0.25f);
+
+  // Leave no hole in the sender's arena big enough for a staging copy.
+  std::vector<void*> burned;
+  if (c.source == SourceClass::kSenderArenaExhausted) {
+    tensor::Allocator* arena = (*worker->rdma_arena())->allocator.get();
+    for (void* p; (p = arena->Allocate(kSourceBytes)) != nullptr;) burned.push_back(p);
+  }
+
+  const int sends = c.source == SourceClass::kUnregisteredMrCache ? 2 : 1;
+  const ZeroCopyStats before = mech.stats();
+  SourceOutcome got;
+  sim::Simulator* simulator = cluster->simulator();
+  for (int step = 0; step < sends; ++step) {
+    mech.BeginStep(step);
+    const int64_t start = simulator->Now();
+    bool sent = false;
+    got.blocking_ns.push_back(mech.Send(edge, source, [&sent](Status s) {
+      CHECK_OK(s);
+      sent = true;
+    }));
+    Tensor received;
+    int64_t recv_ns = -1;
+    ASSERT_TRUE(simulator
+                    ->RunUntilPredicate([&] {
+                      if (recv_ns < 0 && mech.TryRecv(edge, &received)) {
+                        recv_ns = simulator->Now() - start;
+                      }
+                      return sent && recv_ns >= 0;
+                    })
+                    .ok());
+    got.recv_ns.push_back(recv_ns);
+    ASSERT_EQ(received.num_elements(), kSourceElements);
+  }
+  got.deltas = Delta(mech.stats(), before);
+  got.path = mech.edge_path(edge.key);
+
+  const SourceOutcome want = ExpectedSourceOutcome(c);
+  EXPECT_EQ(got.blocking_ns, want.blocking_ns);
+  EXPECT_EQ(got.recv_ns, want.recv_ns);
+  EXPECT_EQ(got.deltas, want.deltas);
+  EXPECT_EQ(got.path, want.path);
+
+  tensor::Allocator* arena = (*worker->rdma_arena())->allocator.get();
+  for (void* p : burned) arena->Deallocate(p);
+}
+
+std::vector<SourceCase> AllSourceCases() {
+  std::vector<SourceCase> cases;
+  for (SourceClass source :
+       {SourceClass::kRegisteredHostArena, SourceClass::kUnregisteredStaged,
+        SourceClass::kUnregisteredMrCache, SourceClass::kGpuWithoutGdr,
+        SourceClass::kGpuWithGdr, SourceClass::kSenderArenaExhausted}) {
+    for (bool dynamic : {false, true}) cases.push_back({source, dynamic});
+  }
+  return cases;
+}
+
+std::string SourceCaseLabel(const SourceCase& c) {
+  static const char* const kSources[] = {"RegisteredHostArena", "UnregisteredStaged",
+                                         "UnregisteredMrCache", "GpuWithoutGdr",
+                                         "GpuWithGdr",          "SenderArenaExhausted"};
+  return std::string(kSources[static_cast<int>(c.source)]) + (c.dynamic ? "Dynamic" : "Static");
+}
+
+void PrintTo(const SourceCase& c, std::ostream* os) { *os << SourceCaseLabel(c); }
+
+INSTANTIATE_TEST_SUITE_P(DecisionTable, SendSourceTest, ::testing::ValuesIn(AllSourceCases()),
+                         [](const auto& info) { return SourceCaseLabel(info.param); });
 
 TEST(RpcMechanismDetailTest, LargeMessagesFragmentOnRingBuffer) {
   ClusterOptions options;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/check/testing.h"
 #include "src/collective/collective.h"
 #include "src/comm/zerocopy_mechanism.h"
 #include "src/control/checkpoint.h"
@@ -27,6 +28,8 @@
 
 namespace rdmadl {
 namespace {
+
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
 
 using collective::CollectiveGroup;
 using collective::CollectiveOptions;
@@ -378,11 +381,8 @@ struct LadderWorld {
 
 TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
   LadderWorld world(50'000);
-  comm::ZeroCopyOptions options;
-  options.ladder_demote_after = 2;
-  options.ladder_probation_after = 3;
-  auto mechanism =
-      std::make_unique<comm::ZeroCopyRdmaMechanism>(world.cluster.get(), options);
+  auto mechanism = std::make_unique<comm::ZeroCopyRdmaMechanism>(world.cluster.get(),
+                                                                 comm::ZeroCopyOptions{});
   DistributedSession session(world.cluster.get(), mechanism.get(), &world.graph,
                              SessionOptions{});
   ASSERT_TRUE(session.Setup().ok());
@@ -436,7 +436,7 @@ TEST(LadderTest, RepeatedFailuresDemoteThenCleanProbationPromotes) {
     }
   }
   ASSERT_GE(promoted_at, 0) << "edge never promoted back to zero-copy";
-  EXPECT_GE(mechanism->stats().degraded_sends, options.ladder_probation_after);
+  EXPECT_GE(mechanism->stats().degraded_sends, comm::kLadderProbationAfter);
   EXPECT_GE(mechanism->stats().ladder_promotions, 1);
   EXPECT_GE(mechanism->stats().probation_probes, 1);
 
@@ -468,8 +468,9 @@ TEST(LadderTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
   runtime::HostRuntime* ps = world.cluster->host("ps:0");
   auto arena_or = ps->rdma_arena();
   ASSERT_TRUE(arena_or.ok()) << arena_or.status();
-  while ((*arena_or)->allocator->Allocate(64ull << 10) != nullptr) {
-  }
+  tensor::Allocator* arena = (*arena_or)->allocator.get();
+  std::vector<void*> burned;
+  for (void* p; (p = arena->Allocate(64ull << 10)) != nullptr;) burned.push_back(p);
 
   const auto before = mechanism->stats().ladder_demotions;
   ASSERT_TRUE(session.RunStep().ok())
@@ -484,6 +485,20 @@ TEST(LadderTest, ArenaExhaustionDemotesImmediatelyAndServesDegraded) {
   double expected = 0;
   for (int64_t j = 0; j < source.num_elements(); ++j) expected += source.at<float>(j);
   EXPECT_NEAR(out->at<float>(0), expected, std::abs(expected) * 1e-5 + 1e-3);
+
+  // With room again, the edge serves degraded until kLadderProbationAfter
+  // clean degraded sends (the demoting send counts), then the next send
+  // probes zero-copy and promotes the edge.
+  for (void* p : burned) arena->Deallocate(p);
+  for (int i = 1; i < comm::kLadderProbationAfter; ++i) {
+    ASSERT_TRUE(session.RunStep().ok());
+    EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kDegraded) << "send " << i;
+  }
+  ASSERT_TRUE(session.RunStep().ok());
+  EXPECT_EQ(mechanism->edge_path(edge_key), comm::EdgePath::kZeroCopy);
+  EXPECT_EQ(mechanism->stats().degraded_sends, comm::kLadderProbationAfter);
+  EXPECT_EQ(mechanism->stats().probation_probes, 1);
+  EXPECT_EQ(mechanism->stats().ladder_promotions, 1);
 }
 
 }  // namespace

@@ -482,9 +482,9 @@ TEST(ChaosSweepTest, RandomFaultsEitherCompleteExactlyOrFailTyped) {
 // with GPUDirect device routes on obeys the same fault contract as the host
 // paths — transient drops and spikes are absorbed by transport retry (the
 // SG-WR cursor restarts every extent of the WQE), failures surface typed,
-// and the same seed replays byte-identically. Link chaos must never demote
-// the route off the D2D rung: the degradation ladder only falls to
-// kStagedPcie on device MR registration exhaustion, never on retry.
+// and the same seed replays byte-identically. Link chaos must never push the
+// payload off the D2D route: no send stages through host memory, over PCIe
+// or by memcpy, and device zero-copy sends keep flowing.
 // scripts/check.sh --gdr sweeps RDMADL_FAULT_SEED=1..10 over this suite.
 // ---------------------------------------------------------------------------
 
@@ -508,8 +508,10 @@ TEST(GdrChaosSweepTest, DeviceResidentStepsAbsorbChaosOrFailTypedStayingOnD2d) {
   ASSERT_TRUE(driver.RunStep().ok());  // Healthy device-resident step first.
   // The warm-up already rides the D2D rung — no PCIe staging hop.
   ASSERT_NE(driver.zerocopy_mechanism(), nullptr);
-  EXPECT_GT(driver.zerocopy_mechanism()->stats().device_zero_copy_sends, 0);
-  EXPECT_EQ(driver.zerocopy_mechanism()->stats().pcie_fallback_sends, 0);
+  const comm::ZeroCopyStats warmup = driver.zerocopy_mechanism()->stats();
+  EXPECT_GT(warmup.device_zero_copy_sends, 0);
+  EXPECT_EQ(warmup.pcie_copies, 0);
+  EXPECT_EQ(warmup.staged_sends, 0);
 
   FaultInjector injector(seed);
   LinkFaultSpec spec;
@@ -530,9 +532,12 @@ TEST(GdrChaosSweepTest, DeviceResidentStepsAbsorbChaosOrFailTypedStayingOnD2d) {
     }
   }
   EXPECT_GT(completed, 0) << "seed=" << seed << " completed no step under chaos";
-  // Chaos must not demote the route: the device buffers stay registered, so
+  // Chaos must not move the route: the device buffers stay registered, so
   // every completed step keeps its zero-copy D2D path.
-  EXPECT_EQ(driver.zerocopy_mechanism()->stats().pcie_fallback_sends, 0);
+  const comm::ZeroCopyStats& stats = driver.zerocopy_mechanism()->stats();
+  EXPECT_GT(stats.device_zero_copy_sends, warmup.device_zero_copy_sends);
+  EXPECT_EQ(stats.pcie_copies, 0);
+  EXPECT_EQ(stats.staged_sends, 0);
 }
 
 TEST(GdrChaosSweepTest, SameSeedReplaysDeviceResidentTraceByteIdentically) {

@@ -561,11 +561,13 @@ TEST(ExecutorStatsTest, PollingAsyncSemanticsArePinned) {
   EXPECT_EQ(second.ps.poll_attempts, 24);
   EXPECT_EQ(second.ps.failed_polls, 22);
 
-  // Both received tensors reached the worker intact: sum(w) + sum(ones[5, 8]).
+  // Both received tensors reached the worker intact: sum(w) + sum(ones[5, 8]),
+  // and the worker's sum came back to the ps through GPU->host staging.
   const Tensor& weights = cluster.host("ps:0")->resources()->GetVariable("w");
   float expected = 5 * 8;
   for (int64_t i = 0; i < weights.num_elements(); ++i) expected += weights.at<float>(i);
   EXPECT_NEAR(session.executor_for("worker:0")->OutputOf("total")->at<float>(0), expected, 1e-3);
+  EXPECT_NEAR(session.executor_for("ps:0")->OutputOf("out")->at<float>(0), expected, 1e-3);
 }
 
 // An executor hooks each allocation-tracing wrapper once, not once per node:
