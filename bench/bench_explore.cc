@@ -18,8 +18,8 @@
 //     earning its keep.
 //
 // Everything printed to stdout derives from virtual time and deterministic
-// counters, so two runs emit byte-identical reports (scripts/check.sh
-// --explore diffs them). Wall-clock throughput (schedules/sec) is real time
+// counters, so the report is pinned byte for byte by the golden_bench_explore
+// ctest (tests/golden/). Wall-clock throughput (schedules/sec) is real time
 // and goes to stderr only.
 #include <cstdint>
 #include <cstdio>

@@ -15,9 +15,9 @@
 //   * MR registration cache: dynamic-protocol step time and cache hit rate
 //     with the cache on vs the staging baseline.
 //
-// Flags: --quick (small size set, fewer steps — CI smoke config), --sweep
-// (adds the engine sweeps), --json=PATH (machine-readable rows; wall-clock
-// timings go only into the JSON/stderr so stdout stays deterministic).
+// Flags: --quick (small size set, fewer steps), --sweep (adds the engine
+// sweeps). Wall-clock goes to stderr only, so stdout is deterministic; the
+// golden_bench_fig8_micro_sweep ctest pins it (tests/golden/).
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -130,8 +130,7 @@ double ThroughputGBps(uint64_t bytes, double us) {
 // ---------------------------------------------------------------------------
 // The Figure 8 table.
 
-void RunFig8(bool quick, bench::JsonEmitter* json) {
-  const char* kMechNames[] = {"gRPC.TCP", "gRPC.RDMA", "RDMA.cp", "RDMA.zerocp"};
+void RunFig8(bool quick) {
   bench::PrintHeader("Figure 8 — Tensor transfer micro-benchmark (2 servers)",
                      "Per-transfer latency (us) and speedup of RDMA.zerocp over each "
                      "alternative, vs message size.");
@@ -151,15 +150,6 @@ void RunFig8(bool quick, bench::JsonEmitter* json) {
       spec.bytes = bytes;
       spec.steps = quick ? 3 : 5;
       us[m] = MeasureTransfer(static_cast<Mech>(m), spec).us_per_step;
-      if (json != nullptr) {
-        json->BeginRow();
-        json->Field("section", std::string("fig8"));
-        json->Field("mechanism", std::string(kMechNames[m]));
-        json->Field("bytes", static_cast<int64_t>(bytes));
-        json->Field("virtual_us_per_step", us[m]);
-        json->Field("virtual_gbps", ThroughputGBps(bytes, us[m]));
-        json->EndRow();
-      }
     }
     auto cell = [](double v) {
       static char buf[4][32];
@@ -195,7 +185,7 @@ void RunFig8(bool quick, bench::JsonEmitter* json) {
 // Sweep 1: multi-QP lane striping. A per-QP WQE-engine ceiling makes the
 // single-QP initiation cost visible; striping across lanes overlaps it.
 
-void SweepLanes(bool quick, bench::JsonEmitter* json) {
+void SweepLanes(bool quick) {
   bench::PrintHeader("Transfer engine — QP lane striping",
                      "Large-tensor RDMA.zerocp throughput vs stripe lanes, with a 12 GB/s "
                      "per-QP WQE-engine ceiling (virtual time).");
@@ -219,16 +209,6 @@ void SweepLanes(bool quick, bench::JsonEmitter* json) {
       spec.zerocopy.engine.stripe_lanes = lane_counts[l];
       MeasureOut out = MeasureTransfer(Mech::kRdmaZerocp, spec);
       gbps[l] = ThroughputGBps(bytes, out.us_per_step);
-      if (json != nullptr) {
-        json->BeginRow();
-        json->Field("section", std::string("lanes"));
-        json->Field("bytes", static_cast<int64_t>(bytes));
-        json->Field("lanes", static_cast<int64_t>(lane_counts[l]));
-        json->Field("virtual_us_per_step", out.us_per_step);
-        json->Field("virtual_gbps", gbps[l]);
-        json->Field("striped_sends", out.stats.striped_sends);
-        json->EndRow();
-      }
     }
     std::printf("%-9s | %8.2f GB/s %6.2f GB/s %6.2f GB/s | %13.2fx\n",
                 HumanBytes(bytes).c_str(), gbps[0], gbps[1], gbps[2],
@@ -241,7 +221,7 @@ void SweepLanes(bool quick, bench::JsonEmitter* json) {
 // Sweep 2: small-tensor coalescing. Many small same-step tensors to one peer
 // either each pay the per-message posting cost or share one doorbell chain.
 
-void SweepCoalescing(bool quick, bench::JsonEmitter* json) {
+void SweepCoalescing(bool quick) {
   bench::PrintHeader("Transfer engine — small-tensor coalescing",
                      "Step time for N small tensors ps->worker, doorbell batching "
                      "off vs on (virtual time).");
@@ -268,16 +248,6 @@ void SweepCoalescing(bool quick, bench::JsonEmitter* json) {
       MeasureOut out = MeasureTransfer(Mech::kRdmaZerocp, spec);
       us[on] = out.us_per_step;
       if (on == 1) batches = out.stats.coalesced_sends;
-      if (json != nullptr) {
-        json->BeginRow();
-        json->Field("section", std::string("coalescing"));
-        json->Field("tensors", static_cast<int64_t>(shapes[s].tensors));
-        json->Field("bytes", static_cast<int64_t>(shapes[s].bytes));
-        json->Field("coalescing", static_cast<int64_t>(on));
-        json->Field("virtual_us_per_step", us[on]);
-        json->Field("coalesced_sends", out.stats.coalesced_sends);
-        json->EndRow();
-      }
     }
     char label[32];
     std::snprintf(label, sizeof(label), "%3d x %s", shapes[s].tensors,
@@ -293,7 +263,7 @@ void SweepCoalescing(bool quick, bench::JsonEmitter* json) {
 // buffers either stage through the arena every step (RDMA.cp baseline) or
 // register once through the cache and go zero-copy from then on.
 
-void SweepMrCache(bool quick, bench::JsonEmitter* json) {
+void SweepMrCache(bool quick) {
   bench::PrintHeader("Transfer engine — MR registration cache",
                      "Dynamic-protocol step time, staging baseline vs extent cache; "
                      "hit rate counted after step 1 (virtual time).");
@@ -322,17 +292,6 @@ void SweepMrCache(bool quick, bench::JsonEmitter* json) {
         const int64_t misses = out.stats.mr_cache_misses - out.warmup_stats.mr_cache_misses;
         hit_rate = hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0.0;
       }
-      if (json != nullptr) {
-        json->BeginRow();
-        json->Field("section", std::string("mr_cache"));
-        json->Field("bytes", static_cast<int64_t>(bytes));
-        json->Field("mr_cache", static_cast<int64_t>(on));
-        json->Field("virtual_us_per_step", us[on]);
-        json->Field("mr_cache_hits", out.stats.mr_cache_hits);
-        json->Field("mr_cache_misses", out.stats.mr_cache_misses);
-        if (on == 1) json->Field("hit_rate_after_step1", hit_rate);
-        json->EndRow();
-      }
     }
     std::printf("%-9s | %10.1fus %10.1fus | %7.2fx | %17.1f%%\n", HumanBytes(bytes).c_str(),
                 us[0], us[1], us[1] > 0 ? us[0] / us[1] : 0.0, hit_rate * 100.0);
@@ -340,36 +299,21 @@ void SweepMrCache(bool quick, bench::JsonEmitter* json) {
   bench::PrintRule();
 }
 
-void Run(bool quick, bool sweep, const std::string& json_path) {
-  bench::JsonEmitter json;
-  bench::JsonEmitter* emit = json_path.empty() ? nullptr : &json;
+void Run(bool quick, bool sweep) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  RunFig8(quick, emit);
+  RunFig8(quick);
   if (sweep) {
-    SweepLanes(quick, emit);
-    SweepCoalescing(quick, emit);
-    SweepMrCache(quick, emit);
+    SweepLanes(quick);
+    SweepCoalescing(quick);
+    SweepMrCache(quick);
   }
 
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
-  // Wall-clock goes to stderr and the JSON only: stdout must be byte-stable
-  // across runs (scripts/check.sh --bench-smoke diffs it).
+  // Wall-clock goes to stderr only: stdout is pinned byte for byte.
   std::fprintf(stderr, "wall-clock: %.0f ms\n", wall_ms);
-  if (emit != nullptr) {
-    json.BeginRow();
-    json.Field("section", std::string("meta"));
-    json.Field("quick", static_cast<int64_t>(quick ? 1 : 0));
-    json.Field("sweep", static_cast<int64_t>(sweep ? 1 : 0));
-    json.Field("wall_ms", wall_ms);
-    json.EndRow();
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    CHECK(f != nullptr) << "cannot open " << json_path;
-    json.PrintTo(f);
-    std::fclose(f);
-  }
 }
 
 }  // namespace
@@ -378,20 +322,16 @@ void Run(bool quick, bool sweep, const std::string& json_path) {
 int main(int argc, char** argv) {
   bool quick = false;
   bool sweep = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else {
-      std::fprintf(stderr, "unknown flag %s (expected --quick, --sweep, --json=PATH)\n",
-                   argv[i]);
+      std::fprintf(stderr, "unknown flag %s (expected --quick, --sweep)\n", argv[i]);
       return 2;
     }
   }
-  rdmadl::Run(quick, sweep, json_path);
+  rdmadl::Run(quick, sweep);
   return 0;
 }

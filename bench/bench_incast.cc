@@ -26,7 +26,8 @@
 // its own QP with its own DCQCN rate state, so 4 lanes quadruple the initial
 // injection burst but also give the control loop 4x the feedback signals.
 //
-// Flags: --quick (64 workers, fewer rounds, no enforcement), --json=PATH.
+// Flags: --quick (64 workers, fewer rounds, no enforcement). Wall-clock goes
+// to stderr only; the golden_bench_incast ctest pins stdout (tests/golden/).
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -88,8 +89,6 @@ struct SeriesOut {
   net::CongestionStats cstats;      // Fabric totals (warm-up included).
   uint64_t retransmissions = 0;
   uint64_t cnps = 0;
-  uint64_t rate_decreases = 0;
-  uint64_t marked_segments = 0;
 };
 
 // Runs |warmup + rounds| barrier-synchronized incast rounds of |workers|
@@ -180,37 +179,11 @@ SeriesOut RunIncast(int workers, int lanes, const SeriesSpec& spec, int warmup, 
     const rdma::NicStats& s = rdma.nic(w + 1)->stats();
     out.retransmissions += s.retransmissions;
     out.cnps += s.cnps_received;
-    out.rate_decreases += s.dcqcn_rate_decreases;
-    out.marked_segments += s.ecn_marked_segments;
   }
   return out;
 }
 
 double Us(int64_t ns) { return static_cast<double>(ns) / 1e3; }
-
-void EmitRow(bench::JsonEmitter* json, const char* section, int workers, int lanes,
-             const SeriesSpec& spec, int rounds, const SeriesOut& out) {
-  if (json == nullptr) return;
-  json->BeginRow();
-  json->Field("section", std::string(section));
-  json->Field("series", std::string(spec.name));
-  json->Field("workers", static_cast<int64_t>(workers));
-  json->Field("lanes", static_cast<int64_t>(lanes));
-  json->Field("rounds", static_cast<int64_t>(rounds));
-  json->Field("message_bytes", static_cast<int64_t>(kMessageBytes));
-  json->Field("p50_us", Us(out.hist.P50()));
-  json->Field("p99_us", Us(out.hist.P99()));
-  json->Field("p999_us", Us(out.hist.P999()));
-  json->Field("mean_us", Us(out.hist.mean_ns()));
-  json->Field("max_us", Us(out.hist.max_ns()));
-  json->Field("overflow_drops", static_cast<int64_t>(out.cstats.overflow_drops));
-  json->Field("pause_windows", static_cast<int64_t>(out.cstats.pause_windows));
-  json->Field("ecn_marks", static_cast<int64_t>(out.cstats.ecn_marks));
-  json->Field("cnps", static_cast<int64_t>(out.cnps));
-  json->Field("rate_decreases", static_cast<int64_t>(out.rate_decreases));
-  json->Field("retransmissions", static_cast<int64_t>(out.retransmissions));
-  json->EndRow();
-}
 
 void PrintRow(const char* label, const SeriesOut& out) {
   std::printf("%-14s | %9.1f %9.1f %9.1f | %9.1f | %7llu %7llu %8llu %7llu %8llu\n", label,
@@ -222,7 +195,7 @@ void PrintRow(const char* label, const SeriesOut& out) {
               static_cast<unsigned long long>(out.retransmissions));
 }
 
-void RunIncastTable(bool quick, bench::JsonEmitter* json) {
+void RunIncastTable(bool quick) {
   const SeriesSpec kSeries[] = {
       {"unbounded", /*bounded=*/false},
       {"drop / CC off", true, /*pause=*/false, /*dcqcn=*/false},
@@ -252,7 +225,6 @@ void RunIncastTable(bool quick, bench::JsonEmitter* json) {
     for (const SeriesSpec& spec : kSeries) {
       SeriesOut out = RunIncast(workers, /*lanes=*/1, spec, warmup, rounds);
       PrintRow(spec.name, out);
-      EmitRow(json, "incast", workers, 1, spec, rounds, out);
       if (spec.bounded && !spec.pause) (spec.dcqcn ? on : off) = out;
     }
     bench::PrintRule();
@@ -273,7 +245,7 @@ void RunIncastTable(bool quick, bench::JsonEmitter* json) {
   }
 }
 
-void RunLaneSweep(bool quick, bench::JsonEmitter* json) {
+void RunLaneSweep(bool quick) {
   const int workers = quick ? 64 : 256;
   const int warmup = quick ? 2 : 4;
   const int rounds = quick ? 8 : 20;
@@ -296,36 +268,22 @@ void RunLaneSweep(bool quick, bench::JsonEmitter* json) {
                   static_cast<unsigned long long>(out.cstats.overflow_drops),
                   static_cast<unsigned long long>(out.cnps),
                   static_cast<unsigned long long>(out.retransmissions));
-      EmitRow(json, "incast_lanes", workers, lanes, spec, rounds, out);
     }
   }
   bench::PrintRule();
 }
 
-void Run(bool quick, const std::string& json_path) {
-  bench::JsonEmitter json;
-  bench::JsonEmitter* emit = json_path.empty() ? nullptr : &json;
+void Run(bool quick) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  RunIncastTable(quick, emit);
-  RunLaneSweep(quick, emit);
+  RunIncastTable(quick);
+  RunLaneSweep(quick);
 
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
-  // Wall clock to stderr only: stdout stays byte-stable for diffing.
+  // Wall clock to stderr only: stdout is pinned byte for byte.
   std::fprintf(stderr, "wall-clock: %.0f ms\n", wall_ms);
-  if (emit != nullptr) {
-    json.BeginRow();
-    json.Field("section", std::string("meta"));
-    json.Field("quick", static_cast<int64_t>(quick ? 1 : 0));
-    json.Field("wall_ms", wall_ms);
-    json.EndRow();
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    CHECK(f != nullptr) << "cannot open " << json_path;
-    json.PrintTo(f);
-    std::fclose(f);
-  }
 }
 
 }  // namespace
@@ -333,17 +291,14 @@ void Run(bool quick, const std::string& json_path) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else {
-      std::fprintf(stderr, "unknown flag %s (expected --quick, --json=PATH)\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s (expected --quick)\n", argv[i]);
       return 2;
     }
   }
-  rdmadl::Run(quick, json_path);
+  rdmadl::Run(quick);
   return 0;
 }

@@ -40,7 +40,9 @@ void BM_ArenaAllocateFree(benchmark::State& state) {
   tensor::ArenaAllocator arena(storage.data(), storage.size(), "bench");
   const size_t size = state.range(0);
   for (auto _ : state) {
-    void* p = arena.Allocate(size);
+    // Const: the read-only DoNotOptimize overload. GCC with ASan miscompiles
+    // the read-write one ("+m,r") and hands back a null pointer.
+    void* const p = arena.Allocate(size);
     benchmark::DoNotOptimize(p);
     arena.Deallocate(p);
   }

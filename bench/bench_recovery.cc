@@ -18,8 +18,8 @@
 //   * run stretch — elapsed virtual time versus the same run without the
 //     crash.
 //
-// The table is printed human-readable; the same rows are emitted as JSON at
-// the end for plotting.
+// The table is the whole stdout; the golden_bench_recovery ctest pins it
+// (tests/golden/).
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -32,8 +32,6 @@ namespace bench {
 namespace {
 
 struct RecoveryPoint {
-  int machines = 0;
-  int checkpoint_interval = 0;
   double detection_ms = -1;
   double recovery_ms = -1;
   int steps_rolled_back = 0;
@@ -58,8 +56,6 @@ train::TrainingConfig MakeConfig(int machines, int interval) {
 
 RecoveryPoint MeasurePoint(int machines, int interval, int steps, bool crash) {
   RecoveryPoint point;
-  point.machines = machines;
-  point.checkpoint_interval = interval;
   train::TrainingDriver driver(MakeConfig(machines, interval));
   Status init = driver.Initialize();
   if (!init.ok()) {
@@ -92,7 +88,6 @@ void Run() {
               "reconfigure + rollback-to-checkpoint on the survivors (virtual time).");
 
   const int kSteps = 12;
-  JsonEmitter json;
   std::printf("%9s %9s | %13s %12s %12s | %11s %12s %9s\n", "machines", "ckpt_int",
               "detection_ms", "recovery_ms", "rolledback", "elapsed_ms", "baseline_ms",
               "stretch");
@@ -113,24 +108,12 @@ void Run() {
       std::printf("%9d %9d | %13.3f %12.3f %12d | %11.2f %12.2f %8.2fx\n", machines,
                   interval, p.detection_ms, p.recovery_ms, p.steps_rolled_back,
                   p.elapsed_ms, p.baseline_ms, stretch);
-      json.BeginRow();
-      json.Field("machines", static_cast<int64_t>(p.machines));
-      json.Field("checkpoint_interval_steps", static_cast<int64_t>(p.checkpoint_interval));
-      json.Field("detection_ms", p.detection_ms);
-      json.Field("recovery_ms", p.recovery_ms);
-      json.Field("steps_rolled_back", static_cast<int64_t>(p.steps_rolled_back));
-      json.Field("elapsed_ms", p.elapsed_ms);
-      json.Field("baseline_ms", p.baseline_ms);
-      json.Field("stretch", stretch);
-      json.EndRow();
     }
     PrintRule();
   }
   std::printf("\nDetection latency is set by the lease parameters (interval, timeout,\n"
               "misses-to-confirm), not the checkpoint interval; the checkpoint interval\n"
               "buys shorter rollback at the cost of per-interval snapshot time.\n");
-  std::printf("\nJSON:\n");
-  json.PrintTo(stdout);
 }
 
 }  // namespace

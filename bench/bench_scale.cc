@@ -9,18 +9,16 @@
 //     hosts — the all-to-all pattern that actually pressures the pool's
 //     max_queue_pairs cap.
 //
-// stdout carries only virtual-time results and deterministic counters (the
-// determinism gate in scripts/check.sh --scale diffs two runs byte-for-byte);
-// wall-clock milliseconds and simulator events/sec go to stderr. --json
-// additionally writes machine-readable rows (BENCH_6.json via scripts/
-// bench.sh).
+// stdout carries only virtual-time results and deterministic counters, and
+// is pinned byte for byte by the golden_bench_scale_* ctests (tests/golden/);
+// wall-clock milliseconds and simulator events/sec go to stderr.
 //
 // Flags:
 //   --quick        small sweep (CI-sized)
 //   --smoke        single 256-host point per phase (scripts/check.sh --scale)
 //   --collectives  all-reduce phase only, with the multi-level algorithm
 //                  series (ring vs hierarchical vs kAuto vs in-network) on
-//                  the oversubscribed rack fabric (BENCH_7.json)
+//                  the oversubscribed rack fabric
 //   --check[=N]    install RdmaCheck and a seeded chaos injector (latency
 //                  spikes + link-down blips; seed N, default 1); any
 //                  diagnostic is a hard failure
@@ -31,7 +29,6 @@
 //   --tail         repeat each timed op and append p50/p99/p999 tail-latency
 //                  columns (existing mean columns keep their exact values;
 //                  without the flag the output is byte-identical to before)
-//   --json=PATH    write JSON rows to PATH
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -63,11 +60,10 @@ struct Flags {
   bool quick = false;
   bool smoke = false;
   bool check = false;
-  bool collectives = false;  // All-reduce phase only (BENCH_7 series).
+  bool collectives = false;  // All-reduce phase only (algorithm series).
   bool congestion = false;   // Bounded queues + ECN + DCQCN + stragglers.
   bool tail = false;         // Extra reps -> p50/p99/p999 columns.
   uint64_t chaos_seed = 1;
-  std::string json_path;
 };
 
 // The robustness-mode fabric: bounded queues with early marking, DCQCN
@@ -134,7 +130,7 @@ struct ScaleRow {
   std::string model;
   std::string topology;
   int hosts = 0;
-  double virtual_ms = 0;      // Deterministic (stdout + json).
+  double virtual_ms = 0;      // Deterministic (stdout).
   int64_t total_qps = 0;      // Total QP contexts across all NICs.
   int64_t max_nic_qps = 0;    // Busiest NIC (must be <= cost.max_queue_pairs).
   int64_t pool_lanes = 0;
@@ -143,7 +139,7 @@ struct ScaleRow {
   double p50_ms = 0;          // Per-op/per-step virtual tail latencies.
   double p99_ms = 0;
   double p999_ms = 0;
-  double wall_ms = 0;         // Nondeterministic (stderr + json only).
+  double wall_ms = 0;         // Nondeterministic (stderr only).
   double events_per_sec = 0;
 };
 
@@ -379,7 +375,6 @@ void Run(const Flags& flags) {
     sr.config.congestion = BenchCongestion();
   }
 
-  bench::JsonEmitter json;
   std::vector<ScaleRow> rows;
   const uint64_t elements = 1u << 20;  // 4 MiB of floats per rank.
   for (const TopoPoint& topo : topologies) {
@@ -391,7 +386,7 @@ void Run(const Flags& flags) {
   // Multi-level schedules on the oversubscribed fabric (ISSUE 7): explicit
   // hierarchical, the kAuto selector (ring at one rack, hierarchical past
   // it), and the in-network stage on the switch-reduce fabric. Skipped in
-  // --smoke so that output stays byte-stable for the determinism baseline.
+  // --smoke so that output stays equal to its golden.
   if (!flags.smoke) {
     const TopoPoint& rack = topologies[1];
     for (int hosts : allreduce_hosts) {
@@ -471,34 +466,6 @@ void Run(const Flags& flags) {
       std::printf("Hierarchical < ring at 256+ hosts on rack32-o4; kAuto matches it.\n");
     }
   }
-
-  for (const ScaleRow& row : rows) {
-    json.BeginRow();
-    json.Field("phase", row.phase);
-    json.Field("model", row.model);
-    json.Field("topology", row.topology);
-    json.Field("hosts", static_cast<int64_t>(row.hosts));
-    json.Field("virtual_ms", row.virtual_ms);
-    json.Field("total_qps", row.total_qps);
-    json.Field("max_nic_qps", row.max_nic_qps);
-    json.Field("pool_lanes", row.pool_lanes);
-    json.Field("pool_evictions", row.pool_evictions);
-    if (row.has_tail) {
-      json.Field("p50_ms", row.p50_ms);
-      json.Field("p99_ms", row.p99_ms);
-      json.Field("p999_ms", row.p999_ms);
-    }
-    json.Field("wall_ms", row.wall_ms);
-    json.Field("events_per_sec", row.events_per_sec);
-    json.EndRow();
-  }
-  if (!flags.json_path.empty()) {
-    std::FILE* f = std::fopen(flags.json_path.c_str(), "w");
-    CHECK(f != nullptr) << "cannot write " << flags.json_path;
-    json.PrintTo(f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", flags.json_path.c_str());
-  }
 }
 
 }  // namespace
@@ -523,8 +490,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--check=", 0) == 0) {
       flags.check = true;
       flags.chaos_seed = std::strtoull(arg.c_str() + 8, nullptr, 10);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      flags.json_path = arg.substr(7);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;

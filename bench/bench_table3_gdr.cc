@@ -17,8 +17,8 @@
 //     WRs vs one scatter/gather WR; the NIC's doorbell counter must drop by
 //     >= 4x (it drops 16x: one doorbell for the whole list).
 //
-// Flags: --quick (smaller size set, fewer steps), --json=PATH (machine-
-// readable rows for scripts/bench.sh -> BENCH_10.json).
+// Flags: --quick (smaller size set, fewer steps). All stdout is virtual-time
+// derived; the golden_bench_table3_gdr ctest pins it (tests/golden/).
 //
 // Paper (ms, improvement): AlexNet 178.5->135.2 (32 %), FCN-5 157.0->101.9
 // (54 %), VGGNet 690.1->610.4 (13 %), Inception 172.5->171.9 (0.4 %), LSTM
@@ -44,7 +44,6 @@ using tensor::TensorShape;
 // The three transfer routes of the GPUDirect ladder, in ascending order of
 // directness.
 enum class GdrRoute { kStaged, kGdrHost, kGdrD2d };
-const char* kRouteNames[] = {"staged", "GDR-host", "GDR-D2D"};
 
 void ApplyRoute(GdrRoute route, train::TrainingConfig* config) {
   config->tensors_on_gpu = true;
@@ -55,7 +54,7 @@ void ApplyRoute(GdrRoute route, train::TrainingConfig* config) {
 // ---------------------------------------------------------------------------
 // Table 3: full-model mini-batch times across the three routes.
 
-void RunTable3(bool quick, bench::JsonEmitter* json) {
+void RunTable3(bool quick) {
   bench::PrintHeader(
       "Table 3 — GPUDirect RDMA (8 workers, batch 32)",
       "Average mini-batch time (ms): PCIe staging vs GDR host-metadata vs GDR "
@@ -82,14 +81,6 @@ void RunTable3(bool quick, bench::JsonEmitter* json) {
       bench::StepResult result = bench::MeasureConfig(config, quick ? 1 : 2, quick ? 2 : 3);
       CHECK(result.ok()) << result.error;
       ms[r] = result.step_ms;
-      if (json != nullptr) {
-        json->BeginRow();
-        json->Field("section", std::string("table3"));
-        json->Field("model", model.name);
-        json->Field("route", std::string(kRouteNames[r]));
-        json->Field("step_ms", ms[r]);
-        json->EndRow();
-      }
     }
     const PaperRow* paper = nullptr;
     for (const PaperRow& row : kPaper) {
@@ -146,7 +137,7 @@ double MeasureRoute(GdrRoute route, uint64_t bytes, int steps) {
   return us;
 }
 
-void RunGdrSweep(bool quick, bench::JsonEmitter* json) {
+void RunGdrSweep(bool quick) {
   bench::PrintHeader(
       "GDR route sweep — one worker-to-worker tensor edge (virtual us/step)",
       "staged (PCIe both ways) vs GDR-host (dynamic host-metadata protocol) vs "
@@ -165,14 +156,6 @@ void RunGdrSweep(bool quick, bench::JsonEmitter* json) {
     double us[3];
     for (int r = 0; r < 3; ++r) {
       us[r] = MeasureRoute(static_cast<GdrRoute>(r), bytes, steps);
-      if (json != nullptr) {
-        json->BeginRow();
-        json->Field("section", std::string("gdr_sweep"));
-        json->Field("route", std::string(kRouteNames[r]));
-        json->Field("bytes", static_cast<int64_t>(bytes));
-        json->Field("virtual_us_per_step", us[r]);
-        json->EndRow();
-      }
     }
     std::printf("%-9s | %12.1f %12.1f %12.1f | %8.1fx %8.1fx\n", HumanBytes(bytes).c_str(),
                 us[0], us[1], us[2], us[0] / us[2], us[1] / us[2]);
@@ -193,7 +176,7 @@ void RunGdrSweep(bool quick, bench::JsonEmitter* json) {
 // ---------------------------------------------------------------------------
 // SG doorbell microbench: 16-extent sharded send, multi-WR vs one SG-WR.
 
-void RunSgDoorbells(bench::JsonEmitter* json) {
+void RunSgDoorbells() {
   bench::PrintHeader("Scatter/gather doorbells — 16-extent sharded send",
                      "NIC doorbells rung: 16 single WRs vs one SG-WR carrying all "
                      "16 extents (one doorbell, one CQE).");
@@ -257,28 +240,6 @@ void RunSgDoorbells(bench::JsonEmitter* json) {
   std::printf("%-24s %7.1fx fewer\n", "reduction:", ratio);
   bench::PrintRule();
   CHECK_GE(ratio, 4.0) << "SG-WR posting must cut doorbells >= 4x on a 16-extent send";
-  if (json != nullptr) {
-    json->BeginRow();
-    json->Field("section", std::string("sg_doorbells"));
-    json->Field("multi_wr_doorbells", static_cast<int64_t>(doorbells[0]));
-    json->Field("sg_wr_doorbells", static_cast<int64_t>(doorbells[1]));
-    json->Field("reduction_x", ratio);
-    json->EndRow();
-  }
-}
-
-void Run(bool quick, const std::string& json_path) {
-  bench::JsonEmitter json;
-  bench::JsonEmitter* emit = json_path.empty() ? nullptr : &json;
-  RunTable3(quick, emit);
-  RunGdrSweep(quick, emit);
-  RunSgDoorbells(emit);
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    CHECK(f != nullptr) << "cannot open " << json_path;
-    json.PrintTo(f);
-    std::fclose(f);
-  }
 }
 
 }  // namespace
@@ -286,17 +247,16 @@ void Run(bool quick, const std::string& json_path) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else {
-      std::fprintf(stderr, "unknown flag %s (expected --quick, --json=PATH)\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s (expected --quick)\n", argv[i]);
       return 2;
     }
   }
-  rdmadl::Run(quick, json_path);
+  rdmadl::RunTable3(quick);
+  rdmadl::RunGdrSweep(quick);
+  rdmadl::RunSgDoorbells();
   return 0;
 }

@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "src/train/ps_training.h"
 #include "src/util/logging.h"
@@ -63,54 +62,6 @@ inline StepResult MeasureConfig(train::TrainingConfig config, int warmup = 2, in
 inline double ImprovementPct(double fast_ms, double slow_ms) {
   return (slow_ms / fast_ms - 1.0) * 100.0;
 }
-
-// Minimal machine-readable output: collects flat rows of named fields and
-// renders them as a JSON array, so sweep results (e.g. the MTTR curves of
-// bench_recovery) can be piped into a plotting script without scraping the
-// human-readable tables.
-class JsonEmitter {
- public:
-  void BeginRow() { fields_.clear(); }
-  void Field(const std::string& name, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    fields_.push_back("\"" + name + "\": " + buf);
-  }
-  void Field(const std::string& name, int64_t value) {
-    fields_.push_back("\"" + name + "\": " + std::to_string(value));
-  }
-  void Field(const std::string& name, const std::string& value) {
-    std::string escaped;
-    for (char c : value) {
-      if (c == '"' || c == '\\') escaped.push_back('\\');
-      escaped.push_back(c);
-    }
-    fields_.push_back("\"" + name + "\": \"" + escaped + "\"");
-  }
-  void EndRow() {
-    std::string row = "  {";
-    for (size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) row += ", ";
-      row += fields_[i];
-    }
-    row += "}";
-    rows_.push_back(std::move(row));
-  }
-  std::string Dump() const {
-    std::string out = "[\n";
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      out += rows_[i];
-      out += i + 1 < rows_.size() ? ",\n" : "\n";
-    }
-    out += "]\n";
-    return out;
-  }
-  void PrintTo(std::FILE* f) const { std::fputs(Dump().c_str(), f); }
-
- private:
-  std::vector<std::string> fields_;
-  std::vector<std::string> rows_;
-};
 
 }  // namespace bench
 }  // namespace rdmadl

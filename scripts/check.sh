@@ -25,18 +25,13 @@
 #                                 # seed list — every test runs with the
 #                                 # protocol checker installed and fails on
 #                                 # any diagnostic
-#   scripts/check.sh --bench-smoke # plain build, then run the micro benches
-#                                 # in their fast configuration; fails on a
-#                                 # crash or on non-deterministic stdout
-#                                 # (bench_fig8_micro --quick --sweep is run
-#                                 # twice and the outputs diffed). Also part
-#                                 # of the default (no-flag) flow.
 #   scripts/check.sh --scale      # cluster-scale smoke: a 256-host all-reduce
 #                                 # and PS step (bench_scale --smoke) under
-#                                 # RdmaCheck plus a seeded chaos storm, run
-#                                 # twice with stdout diffed — crashes,
-#                                 # checker diagnostics, QP-cap overflows and
-#                                 # nondeterminism all fail. Also part of the
+#                                 # RdmaCheck plus a seeded chaos storm, its
+#                                 # stdout compared with the committed golden
+#                                 # (scripts/golden.sh) — crashes, checker
+#                                 # diagnostics, QP-cap overflows and any
+#                                 # moved row all fail. Also part of the
 #                                 # default (no-flag) flow.
 #   scripts/check.sh --congestion # congestion/tail-latency sweep (ISSUE 8):
 #                                 # the congestion suite plain and under
@@ -46,8 +41,8 @@
 #                                 # list — each seed run twice with stdout
 #                                 # diffed — one tail-latency (p50/p99/p999)
 #                                 # run, and an ASan+UBSan pass over the
-#                                 # congestion suite. A smoke subset is also
-#                                 # part of the default (no-flag) flow.
+#                                 # congestion suite. Seed 1 is also pinned
+#                                 # by a golden ctest in every ctest run.
 #   scripts/check.sh --collectives # collective conformance sweep: the
 #                                 # equivalence matrix (every algorithm x
 #                                 # topology shape x tensor size against the
@@ -64,28 +59,29 @@
 #                                 # seeds 1-10 with the checker installed and
 #                                 # each seed run twice with stdout diffed
 #                                 # (virtual times must replay byte-identical),
-#                                 # the bench_table3_gdr quick gates (route
+#                                 # the bench_table3_gdr golden (route
 #                                 # ordering, >= 2x D2D-over-staged, >= 4x
-#                                 # doorbell reduction), and an ASan+UBSan
-#                                 # pass over the gdr-labeled suites. A smoke
-#                                 # subset rides the default flow via the
-#                                 # `gdr` ctest label.
+#                                 # doorbell reduction self-gates, pinned
+#                                 # stdout), and an ASan+UBSan pass over the
+#                                 # gdr-labeled suites. A smoke subset rides
+#                                 # the default flow via the `gdr` ctest label.
 #   scripts/check.sh --explore    # schedule-space exploration (ISSUE 9): the
 #                                 # explorer's own suite (mutations, POR,
 #                                 # minimizer, stall detector), the Explore*
 #                                 # harness bodies in the fault/conformance/
 #                                 # congestion suites under RDMADL_EXPLORE=16,
-#                                 # and the bench_explore report run twice
-#                                 # with stdout diffed (exploration order,
-#                                 # pruning counts and detection schedules
-#                                 # must be byte-identical across runs). A
-#                                 # smoke subset rides the default flow via
-#                                 # the `explore` ctest label.
+#                                 # and the bench_explore golden (exploration
+#                                 # order, pruning counts and detection
+#                                 # schedules pinned byte for byte). A smoke
+#                                 # subset rides the default flow via the
+#                                 # `explore` ctest label.
 #
-# The chaos/elastic/check/scale/gdr suites are also registered as ctest labels,
-# so `ctest -L chaos` / `ctest -L elastic` / `ctest -L check` /
-# `ctest -L scale` run a smoke subset as part of any ctest invocation; the
-# modes here sweep the full seed list or cluster size.
+# The chaos/elastic/check/gdr suites are also registered as ctest labels, so
+# `ctest -L chaos` / `ctest -L elastic` / `ctest -L check` run a smoke subset
+# as part of any ctest invocation; the modes here sweep the full seed list or
+# cluster size. `ctest -L golden` runs the golden-output gate: each
+# deterministic bench command's stdout against tests/golden/ (see
+# bench/CMakeLists.txt).
 #
 # Environment:
 #   BUILD_DIR    override the build directory (default: build, or
@@ -106,7 +102,6 @@ for arg in "$@"; do
     --chaos) MODE=chaos ;;
     --elastic) MODE=elastic ;;
     --verify) MODE=verify ;;
-    --bench-smoke) MODE=bench-smoke ;;
     --scale) MODE=scale ;;
     --collectives) MODE=collectives ;;
     --congestion) MODE=congestion ;;
@@ -131,32 +126,9 @@ plain_build() {
   cmake --build "$BUILD_DIR" -j "$JOBS"
 }
 
-# Bench smoke: the micro benches in their fast configuration. Fails on any
-# crash, and on non-deterministic stdout — bench_fig8_micro reports virtual
-# time only on stdout (wall-clock goes to stderr), so two runs must be
-# byte-identical. bench_micro_components reports wall-clock, so it only gets
-# the crash check.
-bench_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_fig8_micro" --quick --sweep >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_fig8_micro" --quick --sweep >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "bench smoke FAILED: bench_fig8_micro stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
-  "$build_dir/bench/bench_micro_components" --benchmark_min_time=0.01 >/dev/null
-  echo "bench smoke passed (deterministic stdout, no crashes)"
-}
-
-# Congestion smoke: one seed of the CC+straggler chaos storm — bench_scale
+# Congestion seed run: one seed of the CC+straggler chaos storm — bench_scale
 # --quick with bounded queues, ECN, DCQCN and the straggler knob live under
-# RdmaCheck, run twice with stdout diffed. The full seed sweep lives in the
-# --congestion mode; this keeps the default flow honest about the congested
-# path without its runtime.
+# RdmaCheck, run twice with stdout diffed. Seed 1 is also a golden ctest.
 congestion_seed_run() {
   local build_dir="$1" seed="$2"
   local out_a out_b
@@ -169,26 +141,6 @@ congestion_seed_run() {
     exit 1
   fi
   rm -f "$out_a" "$out_b"
-}
-
-# Exploration smoke: the bench_explore report (POR state reduction, seeded
-# mutation detection, clean baselines) run twice with stdout diffed. The
-# explorer enumerates schedules from a deterministic DFS over commutation
-# points, so pruning counts, detection schedules and minimized repro sizes
-# must be byte-identical across runs; wall-clock throughput goes to stderr.
-explore_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_explore" >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_explore" >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "explore smoke FAILED: bench_explore stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
-  echo "explore smoke passed (schedule exploration deterministic, mutations caught)"
 }
 
 # GDR seed run: the device-resident chaos pair (GdrChaosSweepTest — a model
@@ -222,46 +174,19 @@ gdr_seed_run() {
   rm -f "$out_a" "$out_b"
 }
 
-# GDR smoke: the bench_table3_gdr quick gates (staged vs GDR-host vs GDR-D2D
-# route ordering, the >= 2x D2D-over-staged ratio at >= 8 MiB, the >= 4x
-# SG-WR doorbell reduction — the binary aborts if any gate fails) run twice
-# with stdout diffed; all its stdout is virtual-time derived, wall-clock goes
-# to stderr and the JSON. Part of the default (no-flag) flow.
-gdr_smoke() {
-  local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_table3_gdr" --quick --json=/dev/null >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_table3_gdr" --quick --json=/dev/null >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "gdr smoke FAILED: bench_table3_gdr stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
-  echo "gdr smoke passed (route + doorbell gates hold, stdout deterministic)"
-}
-
 # Cluster-scale smoke: bench_scale --smoke runs a 256-host ring all-reduce
 # and a 256-host colocated-PS training step, with RdmaCheck installed and a
 # seeded chaos storm (latency spikes + link-down windows — delay-only, so the
 # run must still complete) on the fabric. The binary itself fails on any
-# checker diagnostic or per-NIC QP-cap overflow; running it twice and diffing
-# stdout (virtual times and QP counters only — wall-clock goes to stderr)
-# gates determinism under pooling + chaos.
+# checker diagnostic or per-NIC QP-cap overflow; its stdout (virtual times and
+# QP counters only — wall-clock goes to stderr) must equal the committed
+# golden. Too slow for a ctest, so it runs here.
 scale_smoke() {
   local build_dir="$1"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  "$build_dir/bench/bench_scale" --smoke --check=1 >"$out_a" 2>/dev/null
-  "$build_dir/bench/bench_scale" --smoke --check=1 >"$out_b" 2>/dev/null
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "scale smoke FAILED: bench_scale stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
-  echo "scale smoke passed (256-host step deterministic and checker-clean)"
+  scripts/golden.sh tests/golden/bench_scale_smoke_check_1.txt \
+    "$build_dir/golden/bench_scale_smoke_check_1.txt" \
+    "$build_dir/bench/bench_scale" --smoke --check=1
+  echo "scale smoke passed (256-host step matches its golden, checker-clean)"
 }
 
 case "$MODE" in
@@ -275,12 +200,7 @@ case "$MODE" in
     ;;
   both)
     build_and_test OFF "${BUILD_DIR:-build}"
-    bench_smoke "${BUILD_DIR:-build}"
     scale_smoke "${BUILD_DIR:-build}"
-    congestion_seed_run "${BUILD_DIR:-build}" 1
-    echo "congestion smoke passed (seed 1 deterministic and checker-clean)"
-    explore_smoke "${BUILD_DIR:-build}"
-    gdr_smoke "${BUILD_DIR:-build}"
     build_and_test address "${BUILD_DIR:-build-sanitize}"
     ;;
   tidy)
@@ -338,10 +258,6 @@ case "$MODE" in
         "$BUILD_DIR/tests/elastic_test" --gtest_brief=1
     done
     echo "checker sweep passed for seeds: ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}"
-    ;;
-  bench-smoke)
-    plain_build
-    bench_smoke "$BUILD_DIR"
     ;;
   scale)
     plain_build
@@ -402,7 +318,7 @@ case "$MODE" in
     # flag-in-sg-list) run plain
     # and with the protocol checker installed; the device-resident chaos pair
     # sweeps the fault seeds under RdmaCheck with a per-seed two-run stdout
-    # diff; the quick bench gates route ordering and doorbell reduction; and
+    # diff; the bench golden gates route ordering and doorbell reduction; and
     # an ASan+UBSan pass covers the SG posting/delivery paths — multi-extent
     # WQEs and GPU-arena registrations are fresh memory-layout territory.
     plain_build
@@ -417,7 +333,7 @@ case "$MODE" in
       echo "=== gdr chaos sweep: RDMADL_FAULT_SEED=$seed (device-resident, RdmaCheck) ==="
       gdr_seed_run "$BUILD_DIR" "$seed"
     done
-    gdr_smoke "$BUILD_DIR"
+    ctest --test-dir "$BUILD_DIR" -R '^golden_bench_table3_gdr$' --output-on-failure
     SAN_DIR="${BUILD_DIR:-build}-sanitize"
     cmake -B "$SAN_DIR" -S . -DRDMADL_SANITIZE=address
     cmake --build "$SAN_DIR" -j "$JOBS" --target rdma_test \
@@ -436,8 +352,8 @@ case "$MODE" in
     # enumerates schedules. The Explore* harness bodies embedded in the
     # fault, conformance and congestion suites run under the same bound:
     # retry cursors, flat-ring all-reduce and DCQCN incast must stay clean
-    # under every explored ordering. Finally the bench_explore report runs
-    # twice with stdout diffed.
+    # under every explored ordering. Finally the bench_explore report is
+    # checked against its golden.
     plain_build
     "$BUILD_DIR/tests/explore_test" --gtest_brief=1
     RDMADL_EXPLORE=16 "$BUILD_DIR/tests/explore_test" --gtest_brief=1
@@ -446,7 +362,7 @@ case "$MODE" in
       RDMADL_EXPLORE=16 "$BUILD_DIR/tests/$suite" --gtest_brief=1 \
         --gtest_filter='Explore*'
     done
-    explore_smoke "$BUILD_DIR"
+    ctest --test-dir "$BUILD_DIR" -R '^golden_bench_explore$' --output-on-failure
     echo "exploration sweep passed (explorer suite, harness bodies, bench report)"
     ;;
 esac

@@ -209,6 +209,13 @@ class CollectiveGroup {
                   CollectiveOptions options);
 
   Status Init(const std::vector<int>& hosts);
+  // Per-rank buffers for the current layout, shared by Init and Reconfigure:
+  // creates the rank (device, engine, data buffer) for each host past the
+  // existing ranks_, then lays out every rank's flag region, slot area, self
+  // addresses and address RPC handler, and rebuilds host_to_rank_, the lane
+  // resolver and the trace tracks. Allocation and registration order per
+  // rank is fixed, so addresses and keys are reproducible.
+  Status LayOutRanks(const std::vector<int>& hosts);
 
   // Validates and begins an op; |start| runs once address exchange is done.
   void Begin(std::shared_ptr<Op> op, std::function<void()> start);

@@ -244,18 +244,31 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
         "in-network collective requires a hierarchical topology with switch_reduce");
   }
   ComputeLayout(n);
+  return LayOutRanks(hosts);
+}
 
+Status CollectiveGroup::LayOutRanks(const std::vector<int>& hosts) {
+  const int n = static_cast<int>(hosts.size());
+  const uint64_t data_bytes = max_elements_ * sizeof(float);
   const int num_qps = std::clamp(options_.pipeline_depth, 1, 4);
   for (int i = 0; i < n; ++i) {
-    auto rank = std::make_unique<Rank>();
+    // Init builds each rank here; Reconfigure passes the survivors, which
+    // keep their device, engine and data buffer.
+    const bool fresh = i == static_cast<int>(ranks_.size());
+    if (fresh) {
+      auto created = std::make_unique<Rank>();
+      created->endpoint = Endpoint{hosts[i], options_.port};
+      RDMADL_ASSIGN_OR_RETURN(
+          created->device,
+          device::RdmaDevice::Create(directory_, options_.num_cqs, num_qps, created->endpoint));
+      comm::TransferEngineOptions engine_options = options_.engine;
+      engine_options.enable_coalescing = false;  // Ring flags are per-slot.
+      created->engine =
+          std::make_unique<comm::TransferEngine>(created->device.get(), engine_options);
+      ranks_.push_back(std::move(created));
+    }
+    Rank* rank = ranks_[i].get();
     rank->index = i;
-    rank->endpoint = Endpoint{hosts[i], options_.port};
-    RDMADL_ASSIGN_OR_RETURN(
-        rank->device,
-        device::RdmaDevice::Create(directory_, options_.num_cqs, num_qps, rank->endpoint));
-    comm::TransferEngineOptions engine_options = options_.engine;
-    engine_options.enable_coalescing = false;  // Ring flags are per-slot.
-    rank->engine = std::make_unique<comm::TransferEngine>(rank->device.get(), engine_options);
 
     // Flags are always real: the poller reads actual bytes (§3.2), even when
     // the payload buffers are virtual.
@@ -270,30 +283,45 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
     }
     rank->slot_bytes = slot_bytes;
 
-    uint32_t data_rkey = 0;
+    // The data buffer is allocated once and persists across reconfigurations;
+    // the slot area is resized with the layout (chunk_cap grows as n
+    // shrinks), so the old one is released and a new one carved.
+    rank->slot_addr = 0;
+    rank->slot_lkey = 0;
     uint32_t slot_rkey = 0;
     if (options_.materialize) {
-      RDMADL_ASSIGN_OR_RETURN(rank->data_region, rank->device->AllocateMemRegion(data_bytes));
-      rank->data_addr = reinterpret_cast<uint64_t>(rank->data_region.data());
-      rank->data_lkey = rank->data_region.lkey();
-      data_rkey = rank->data_region.rkey();
+      if (fresh) {
+        RDMADL_ASSIGN_OR_RETURN(rank->data_region,
+                                rank->device->AllocateMemRegion(data_bytes));
+        rank->data_addr = reinterpret_cast<uint64_t>(rank->data_region.data());
+        rank->data_lkey = rank->data_region.lkey();
+      }
+      rank->slot_region = device::MemRegion();
       if (slot_bytes > 0) {
-        RDMADL_ASSIGN_OR_RETURN(rank->slot_region, rank->device->AllocateMemRegion(slot_bytes));
+        RDMADL_ASSIGN_OR_RETURN(rank->slot_region,
+                                rank->device->AllocateMemRegion(slot_bytes));
         rank->slot_addr = reinterpret_cast<uint64_t>(rank->slot_region.data());
         rank->slot_lkey = rank->slot_region.lkey();
         slot_rkey = rank->slot_region.rkey();
       }
     } else {
-      const uint64_t window = kVirtualBase + (next_virtual_window++) * kVirtualWindowBytes;
-      rank->data_addr = window;
-      RDMADL_ASSIGN_OR_RETURN(
-          rdma::MemoryRegion data_mr,
-          rank->device->nic()->RegisterMemory(reinterpret_cast<void*>(window), data_bytes));
-      rank->data_lkey = data_mr.lkey;
-      data_rkey = data_mr.rkey;
-      rank->virtual_mrs.push_back(data_mr);
+      // virtual_mrs[0] is the data registration; anything after it is the
+      // slot area, registered at a fixed offset inside the rank's window.
+      if (fresh) {
+        rank->data_addr = kVirtualBase + (next_virtual_window++) * kVirtualWindowBytes;
+        RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion data_mr,
+                                rank->device->nic()->RegisterMemory(
+                                    reinterpret_cast<void*>(rank->data_addr), data_bytes));
+        rank->data_lkey = data_mr.lkey;
+        rank->virtual_mrs.push_back(data_mr);
+      }
+      while (rank->virtual_mrs.size() > 1) {
+        RDMADL_RETURN_IF_ERROR(
+            rank->device->nic()->DeregisterMemory(rank->virtual_mrs.back()));
+        rank->virtual_mrs.pop_back();
+      }
       if (slot_bytes > 0) {
-        rank->slot_addr = window + kVirtualSlotOffset;
+        rank->slot_addr = rank->data_addr + kVirtualSlotOffset;
         RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion slot_mr,
                                 rank->device->nic()->RegisterMemory(
                                     reinterpret_cast<void*>(rank->slot_addr), slot_bytes));
@@ -302,32 +330,32 @@ Status CollectiveGroup::Init(const std::vector<int>& hosts) {
         rank->virtual_mrs.push_back(slot_mr);
       }
     }
+    const uint32_t data_rkey =
+        options_.materialize ? rank->data_region.rkey() : rank->virtual_mrs[0].rkey;
 
-    rank->peers.resize(n);
+    rank->peers.assign(n, Rank::PeerAddrs{});
     rank->peers[i].data = device::RemoteRegion{rank->data_addr, data_rkey, data_bytes};
     rank->peers[i].slots = device::RemoteRegion{rank->slot_addr, slot_rkey, slot_bytes};
     rank->peers[i].flags = rank->flag_region.Remote();
 
     // Address distribution (§3.1): peers fetch the three descriptors over the
-    // device library's vanilla RPC before the first collective.
-    Rank* self = rank.get();
+    // device library's vanilla RPC before the first collective. The handler
+    // captures the rank's index by value, so a reconfiguration re-registers
+    // it (the same method name replaces the old handler).
     rank->device->RegisterRpcHandler(
-        "collective/addrs", [self, i](const std::vector<uint8_t>&) {
+        "collective/addrs", [rank, i](const std::vector<uint8_t>&) {
           std::vector<uint8_t> out;
-          self->peers[i].data.EncodeTo(&out);
-          self->peers[i].slots.EncodeTo(&out);
-          self->peers[i].flags.EncodeTo(&out);
+          rank->peers[i].data.EncodeTo(&out);
+          rank->peers[i].slots.EncodeTo(&out);
+          rank->peers[i].flags.EncodeTo(&out);
           return out;
         });
-
-    ranks_.push_back(std::move(rank));
   }
 
-  host_to_rank_.assign(fabric->num_hosts(), -1);
+  host_to_rank_.assign(directory_->rdma_fabric()->fabric()->num_hosts(), -1);
   for (int i = 0; i < n; ++i) host_to_rank_[hosts[i]] = i;
   InstallLaneLimitResolver();
-
-  rank_tracks_.resize(n);
+  rank_tracks_.assign(n, std::string());
   return OkStatus();
 }
 
@@ -677,91 +705,15 @@ Status CollectiveGroup::Reconfigure(const std::vector<int>& alive_hosts) {
   ranks_ = std::move(survivors);
 
   const int n = size();
-  const uint64_t data_bytes = max_elements_ * sizeof(float);
 
-  // Same layout math as Init, for the smaller membership: re-derive the rack
+  // Same layout as Init, for the smaller membership: re-derive the rack
   // grouping (a whole rack may have died; the hierarchical leader of each
-  // surviving rack is its first surviving member by position) and rerun the
-  // shared layout. chunk_cap grows as n shrinks (ceil), so the slot area can
-  // be *larger* per rank than before — slots and flags are reallocated; data
-  // buffers persist.
+  // surviving rack is its first surviving member by position), rerun the
+  // shared layout and re-lay the survivors' flags, slots and addresses.
   BuildRacks(hosts());
   ComputeLayout(n);
+  RDMADL_RETURN_IF_ERROR(LayOutRanks(hosts()));
 
-  for (int i = 0; i < n; ++i) {
-    Rank* rank = ranks_[i].get();
-    rank->index = i;
-
-    RDMADL_ASSIGN_OR_RETURN(rank->flag_region,
-                            rank->device->AllocateMemRegion(flag_capacity_ + 1));
-    std::memset(rank->flag_region.data(), 0, flag_capacity_ + 1);
-    rank->flag_region.data()[flag_capacity_] = 1;
-
-    uint64_t slot_bytes = ring_slot_bytes_ + hier_extra_slot_bytes_;
-    if (options_.algorithm == Algorithm::kNaiveGather && i == 0 && n > 1) {
-      slot_bytes += static_cast<uint64_t>(n - 1) * data_bytes;
-    }
-    rank->slot_bytes = slot_bytes;
-
-    uint32_t data_rkey = 0;
-    uint32_t slot_rkey = 0;
-    if (options_.materialize) {
-      data_rkey = rank->data_region.rkey();
-      rank->slot_region = device::MemRegion();
-      rank->slot_addr = 0;
-      rank->slot_lkey = 0;
-      if (slot_bytes > 0) {
-        RDMADL_ASSIGN_OR_RETURN(rank->slot_region,
-                                rank->device->AllocateMemRegion(slot_bytes));
-        rank->slot_addr = reinterpret_cast<uint64_t>(rank->slot_region.data());
-        rank->slot_lkey = rank->slot_region.lkey();
-        slot_rkey = rank->slot_region.rkey();
-      }
-    } else {
-      // virtual_mrs[0] is the data registration; anything after it is the old
-      // slot area, re-registered at the same window offset with the new size.
-      CHECK(!rank->virtual_mrs.empty());
-      data_rkey = rank->virtual_mrs[0].rkey;
-      while (rank->virtual_mrs.size() > 1) {
-        RDMADL_RETURN_IF_ERROR(
-            rank->device->nic()->DeregisterMemory(rank->virtual_mrs.back()));
-        rank->virtual_mrs.pop_back();
-      }
-      rank->slot_lkey = 0;
-      if (slot_bytes > 0) {
-        rank->slot_addr = rank->data_addr + kVirtualSlotOffset;
-        RDMADL_ASSIGN_OR_RETURN(rdma::MemoryRegion slot_mr,
-                                rank->device->nic()->RegisterMemory(
-                                    reinterpret_cast<void*>(rank->slot_addr), slot_bytes));
-        rank->slot_lkey = slot_mr.lkey;
-        slot_rkey = slot_mr.rkey;
-        rank->virtual_mrs.push_back(slot_mr);
-      }
-    }
-
-    rank->peers.assign(n, Rank::PeerAddrs{});
-    rank->peers[i].data = device::RemoteRegion{rank->data_addr, data_rkey, data_bytes};
-    rank->peers[i].slots = device::RemoteRegion{rank->slot_addr, slot_rkey, slot_bytes};
-    rank->peers[i].flags = rank->flag_region.Remote();
-
-    // The address handler captures the rank's index by value; re-register it
-    // (same method name replaces the old handler) with the new index.
-    Rank* self = rank;
-    rank->device->RegisterRpcHandler(
-        "collective/addrs", [self, i](const std::vector<uint8_t>&) {
-          std::vector<uint8_t> out;
-          self->peers[i].data.EncodeTo(&out);
-          self->peers[i].slots.EncodeTo(&out);
-          self->peers[i].flags.EncodeTo(&out);
-          return out;
-        });
-  }
-
-  host_to_rank_.assign(directory_->rdma_fabric()->fabric()->num_hosts(), -1);
-  for (int i = 0; i < n; ++i) host_to_rank_[ranks_[i]->endpoint.host_id] = i;
-  InstallLaneLimitResolver();
-
-  rank_tracks_.assign(n, std::string());
   exchanged_ = false;  // The next op re-runs the ring-buffer address exchange.
   pending_exchanges_ = 0;
   ++stats_.reconfigurations;

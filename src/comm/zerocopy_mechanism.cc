@@ -522,9 +522,12 @@ StatusOr<ZeroCopyRdmaMechanism::Source> ZeroCopyRdmaMechanism::ResolveSource(
   const uint64_t bytes = tensor.TotalBytes();
   const void* ptr = tensor.raw_data();
   StatusOr<const RdmaArena*> registered = src->ArenaFor(ptr);
+  // Only a process that keeps tensors on the GPU has a GPU arena to test;
+  // asking a host-only one would build (and under GPUDirect register) it.
   const bool in_gpu = [&] {
+    if (!src->options().tensors_on_gpu) return false;
     StatusOr<RdmaArena*> gpu = src->gpu_arena();
-    return src->options().tensors_on_gpu && gpu.ok() && (*gpu)->Contains(ptr);
+    return gpu.ok() && (*gpu)->Contains(ptr);
   }();
   Source out;
 

@@ -105,9 +105,8 @@ struct CostModel {
   // than the gRPC baseline because it does no serialization framework work.
   int64_t mini_rpc_dispatch_ns = 1'500;
 
-  // Heap allocation costs.
-  int64_t malloc_overhead_ns = 400;             // Normal allocator.
-  int64_t arena_alloc_overhead_ns = 120;        // Pre-registered RDMA arena.
+  // Allocation cost in the pre-registered RDMA arena.
+  int64_t arena_alloc_overhead_ns = 120;
 
   // Polling-async scheduling (§4): cost of one flag check, and the idle retry
   // interval when the ready queue has nothing else to run. On real hardware a
@@ -123,9 +122,6 @@ struct CostModel {
   // Host<->GPU staging copies (used when GPUDirect is off, §3.5 / Table 3).
   double pcie_bandwidth_bytes_per_sec = 10.0e9;
   int64_t pcie_latency_ns = 1'300;
-  // GPUDirect reads run at a slightly lower rate than host-memory RDMA
-  // (P100-era GDR read bandwidth penalty).
-  double gdr_bandwidth_bytes_per_sec = 9.5e9;
 
   // --------------------------------------------------------------- Loopback
   // Same-host transfers (worker <-> PS colocated on one machine) short-cut

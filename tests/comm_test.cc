@@ -178,6 +178,26 @@ TEST(ZeroCopyProtocolTest, GdrIsFasterThanStaging) {
   EXPECT_LT(time_one(true), time_one(false));
 }
 
+TEST(ZeroCopyProtocolTest, HostOnlyProcessWithGdrBuildsNoGpuArena) {
+  // A worker with GPUDirect on but its tensors in host memory never touches
+  // GPU memory: its first send registers exactly what the same send
+  // registers with GDR off, so no GPU arena is built (and registered) on the
+  // way.
+  auto first_send_registrations = [](bool gdr) {
+    auto cluster = MakeCluster(2, ops::ComputeMode::kReal, /*gpu=*/false, gdr);
+    auto graph = GradientGraph(1024);
+    ZeroCopyRdmaMechanism mech(cluster.get(), ZeroCopyOptions{});
+    DistributedSession session(cluster.get(), &mech, graph.get(), SessionOptions{});
+    CHECK_OK(session.Setup());
+    const rdma::NicStats& nic = cluster->host("worker:0")->rdma_device()->nic()->stats();
+    const uint64_t before = nic.registrations;
+    CHECK_OK(session.RunStep());
+    CHECK_EQ(mech.stats().static_transfers + mech.stats().dynamic_transfers, 1);
+    return nic.registrations - before;
+  };
+  EXPECT_EQ(first_send_registrations(/*gdr=*/true), first_send_registrations(/*gdr=*/false));
+}
+
 TEST(ZeroCopyProtocolTest, ManyWorkersShareOnePs) {
   auto cluster = MakeCluster(4, ops::ComputeMode::kReal);
   ops::RegisterStandardOps();
