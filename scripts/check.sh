@@ -55,11 +55,10 @@
 #                                 # SG-WR verbs contract, gather route planner
 #                                 # and SG diagnostics suites plain and under
 #                                 # RDMADL_CHECK=1, the device-resident chaos
-#                                 # pair (GdrChaosSweepTest) across chaos
-#                                 # seeds 1-10 with the checker installed and
-#                                 # each seed run twice with stdout diffed
-#                                 # (virtual times must replay byte-identical),
-#                                 # the bench_table3_gdr golden (route
+#                                 # pair (GdrChaosSweepTest, whose same-seed
+#                                 # replay test is the determinism gate)
+#                                 # across chaos seeds 1-10 with the checker
+#                                 # installed, the bench_table3_gdr golden (route
 #                                 # ordering, >= 2x D2D-over-staged, >= 4x
 #                                 # doorbell reduction self-gates, pinned
 #                                 # stdout), and an ASan+UBSan pass over the
@@ -137,37 +136,6 @@ congestion_seed_run() {
   "$build_dir/bench/bench_scale" --quick --check="$seed" --congestion >"$out_b" 2>/dev/null
   if ! diff -u "$out_a" "$out_b"; then
     echo "congestion sweep FAILED: seed $seed stdout differs between runs" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  rm -f "$out_a" "$out_b"
-}
-
-# GDR seed run: the device-resident chaos pair (GdrChaosSweepTest — a model
-# whose tensors live in GPU arenas with GPUDirect D2D routes on, under seeded
-# link chaos, with RdmaCheck installed) run twice per seed and the stdout
-# diffed. gtest's harness prints its own wall-clock in the "(N ms total)"
-# summary line, so that one number is normalized before the diff; every byte
-# the tests themselves emit must be identical across runs (the suite also
-# trace-diffs two in-process replays of the same seed).
-gdr_seed_run() {
-  local build_dir="$1" seed="$2"
-  local out_a out_b
-  out_a="$(mktemp)" && out_b="$(mktemp)"
-  RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$build_dir/tests/fault_test" \
-    --gtest_brief=1 --gtest_filter='GdrChaosSweepTest.*' 2>/dev/null \
-    | sed 's/([0-9]* ms total)/(ms total)/' >"$out_a"
-  RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$build_dir/tests/fault_test" \
-    --gtest_brief=1 --gtest_filter='GdrChaosSweepTest.*' 2>/dev/null \
-    | sed 's/([0-9]* ms total)/(ms total)/' >"$out_b"
-  if ! grep -q 'PASSED' "$out_a"; then
-    echo "gdr sweep FAILED: seed $seed device-resident chaos pair did not pass" >&2
-    cat "$out_a" >&2
-    rm -f "$out_a" "$out_b"
-    exit 1
-  fi
-  if ! diff -u "$out_a" "$out_b"; then
-    echo "gdr sweep FAILED: seed $seed stdout differs between runs" >&2
     rm -f "$out_a" "$out_b"
     exit 1
   fi
@@ -317,8 +285,10 @@ case "$MODE" in
     # lane striping, and the SG diagnostics matrix (sg-extent-out-of-order,
     # flag-in-sg-list) run plain
     # and with the protocol checker installed; the device-resident chaos pair
-    # sweeps the fault seeds under RdmaCheck with a per-seed two-run stdout
-    # diff; the bench golden gates route ordering and doorbell reduction; and
+    # (a model whose tensors live in GPU arenas with GPUDirect D2D routes on,
+    # under seeded link chaos) sweeps the fault seeds under RdmaCheck, its
+    # same-seed replay test trace-diffing two in-process runs; the bench
+    # golden gates route ordering and doorbell reduction; and
     # an ASan+UBSan pass covers the SG posting/delivery paths — multi-extent
     # WQEs and GPU-arena registrations are fresh memory-layout territory.
     plain_build
@@ -331,7 +301,8 @@ case "$MODE" in
     RDMADL_CHECK=1 "$BUILD_DIR/tests/transfer_engine_test" --gtest_brief=1
     for seed in ${CHAOS_SEEDS:-1 2 3 4 5 6 7 8 9 10}; do
       echo "=== gdr chaos sweep: RDMADL_FAULT_SEED=$seed (device-resident, RdmaCheck) ==="
-      gdr_seed_run "$BUILD_DIR" "$seed"
+      RDMADL_FAULT_SEED="$seed" RDMADL_CHECK=1 "$BUILD_DIR/tests/fault_test" \
+        --gtest_brief=1 --gtest_filter='GdrChaosSweepTest.*'
     done
     ctest --test-dir "$BUILD_DIR" -R '^golden_bench_table3_gdr$' --output-on-failure
     SAN_DIR="${BUILD_DIR:-build}-sanitize"

@@ -204,6 +204,7 @@ class CollectiveGroup {
   struct Rank;
   struct Op;
   struct Waiter;
+  struct RingLane;
 
   CollectiveGroup(device::DeviceDirectory* directory, uint64_t max_elements,
                   CollectiveOptions options);
@@ -231,6 +232,14 @@ class CollectiveGroup {
   void Finish(const std::shared_ptr<Op>& op);
   void Fail(const std::shared_ptr<Op>& op, const Status& status);
   void FinishUnit(const std::shared_ptr<Op>& op);
+  // Lane prologue of the pipelined schedules: splits [0, op->count) into
+  // |lanes| near-equal lanes and expects |units_per_lane| units from each
+  // non-empty one.
+  void PartitionLanes(const std::shared_ptr<Op>& op, int lanes, int units_per_lane);
+  // Adds |count| floats at byte |slot_offset| of |rank|'s slot area into its
+  // data buffer at element |data_offset| (nothing to add in virtual mode).
+  // Every schedule's receive-side reduction is this one fold.
+  void FoldSlot(int rank, uint64_t slot_offset, uint64_t data_offset, uint64_t count);
 
   // Posts one chunk: payload (if |bytes| > 0) then the 1-byte completion flag
   // |flag_index| at |dst_rank|, over the configured transport.
@@ -256,6 +265,12 @@ class CollectiveGroup {
   // broadcast.cc, hierarchical_allreduce.cc, innetwork_allreduce.cc).
   void StartRing(const std::shared_ptr<Op>& op, bool do_reduce_scatter,
                  bool do_all_gather);
+  // Runs one rank's share of one ring lane (the flat ring and the
+  // hierarchical leader ring): posts its first chunk and starts its flag
+  // poller, which counts as one unit of the op.
+  void StartRingLane(const std::shared_ptr<Op>& op, RingLane spec);
+  // Posts ring step |index| (reduce-scatter steps first, then all-gather).
+  void PostRingStep(const std::shared_ptr<Op>& op, const RingLane& ring, int index);
   void StartNaiveGather(const std::shared_ptr<Op>& op);
   void StartBroadcast(const std::shared_ptr<Op>& op);
   void StartHierarchical(const std::shared_ptr<Op>& op);
@@ -277,11 +292,13 @@ class CollectiveGroup {
   // False (and fails the op with kDeadlineExceeded naming |where|) when the
   // op's deadline has passed at a level handoff.
   bool CheckDeadline(const std::shared_ptr<Op>& op, const char* where);
-  // Registers flag (rank, index) with the protocol checker and records it on
-  // the op for teardown (Finish/Fail forget every declared flag).
-  void DeclareFlag(const std::shared_ptr<Op>& op, int rank, int flag_index,
-                   const char* kind);
-  // Retires every flag DeclareFlag registered for |op| from the checker.
+  // Registers flags [first, first + count) of |rank| with the protocol
+  // checker and records them on the op for teardown (Finish/Fail forget
+  // every declared flag). Every schedule declares the flags it polls before
+  // it posts anything.
+  void DeclareFlags(const std::shared_ptr<Op>& op, int rank, int first, int count,
+                    const char* kind);
+  // Retires every flag DeclareFlags registered for |op| from the checker.
   void ForgetDeclaredFlags(const std::shared_ptr<Op>& op);
 
   const std::string& RankTrack(int rank) const;

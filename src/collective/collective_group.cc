@@ -1,7 +1,10 @@
 // CollectiveGroup core: resource setup (buffers, registration, address
-// distribution), op lifecycle, the chunk-post primitive for both transports,
-// and the flag pollers. The algorithm schedules live in ring_allreduce.cc,
-// naive_allreduce.cc and broadcast.cc.
+// distribution), op lifecycle, the pieces every schedule shares (lane
+// partition, flag declaration, the chunk post for both transports, the slot
+// fold) and the flag pollers. The schedules live in ring_allreduce.cc (the
+// flat ring and the ring lane routine the hierarchical leader ring reuses),
+// naive_allreduce.cc, broadcast.cc, hierarchical_allreduce.cc and
+// innetwork_allreduce.cc.
 #include <algorithm>
 #include <cstring>
 #include <set>
@@ -22,8 +25,6 @@ namespace rdmadl {
 namespace collective {
 
 namespace {
-
-uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 int64_t CostNs(uint64_t bytes, double bytes_per_sec) {
   return static_cast<int64_t>(static_cast<double>(bytes) / bytes_per_sec * 1e9);
@@ -524,9 +525,7 @@ std::vector<std::pair<int, int>> CollectiveGroup::RequiredAddressPairs() const {
     for (int rk = 0; rk < num_racks; ++rk) {
       const std::vector<int>& members = racks_[rk];
       for (int p = 1; p < static_cast<int>(members.size()); ++p) {
-        int j = 0;
-        while (((p >> j) & 1) == 0) ++j;
-        const int parent = p - (1 << j);
+        const int parent = BinomialParent(p);
         set.emplace(members[p], members[parent]);
         set.emplace(members[parent], members[p]);
       }
@@ -635,15 +634,18 @@ void CollectiveGroup::ForgetDeclaredFlags(const std::shared_ptr<Op>& op) {
   op->declared_flags.clear();
 }
 
-// Declares flag |flag_index| of |rank| to the protocol checker (no-op when no
-// checker is installed) and records it on the op for Finish/Fail cleanup.
-void CollectiveGroup::DeclareFlag(const std::shared_ptr<Op>& op, int rank, int flag_index,
-                                  const char* kind) {
+// Declares flags [first, first + count) of |rank| to the protocol checker
+// (no-op when no checker is installed) and records them on the op for
+// Finish/Fail cleanup.
+void CollectiveGroup::DeclareFlags(const std::shared_ptr<Op>& op, int rank, int first, int count,
+                                   const char* kind) {
   if (check::RdmaCheck::Current() == nullptr) return;
   Rank* r = ranks_[rank].get();
-  check::OnFlagLocation(r->endpoint.host_id, r->flags() + flag_index,
-                        StrCat(options_.trace_prefix, " ", kind, " r", rank, " f", flag_index));
-  op->declared_flags.emplace_back(rank, flag_index);
+  for (int f = first; f < first + count; ++f) {
+    check::OnFlagLocation(r->endpoint.host_id, r->flags() + f,
+                          StrCat(options_.trace_prefix, " ", kind, " r", rank, " f", f));
+    op->declared_flags.emplace_back(rank, f);
+  }
 }
 
 // Re-checks the op's virtual-time budget at a level handoff. Returns false
@@ -726,6 +728,29 @@ void CollectiveGroup::FinishUnit(const std::shared_ptr<Op>& op) {
   if (op->finished) return;
   CHECK_GT(op->pending_units, 0);
   if (--op->pending_units == 0) Finish(op);
+}
+
+void CollectiveGroup::PartitionLanes(const std::shared_ptr<Op>& op, int lanes,
+                                     int units_per_lane) {
+  op->lanes.resize(lanes);
+  int active_lanes = 0;
+  for (int l = 0; l < lanes; ++l) {
+    op->lanes[l] = NearEqualChunk(op->count, lanes, l);
+    active_lanes += op->lanes[l].count > 0 ? 1 : 0;
+  }
+  // Begin finishes an empty op before any schedule starts, so lane 0 always
+  // has elements and the op at least one unit.
+  op->pending_units = active_lanes * units_per_lane;
+  CHECK_GT(op->pending_units, 0);
+}
+
+void CollectiveGroup::FoldSlot(int rank, uint64_t slot_offset, uint64_t data_offset,
+                               uint64_t count) {
+  Rank* self = ranks_[rank].get();
+  if (!self->data_region.valid() || count == 0) return;
+  const float* src = reinterpret_cast<const float*>(self->slot_ptr() + slot_offset);
+  float* dst = self->data_ptr() + data_offset;
+  for (uint64_t i = 0; i < count; ++i) dst[i] += src[i];
 }
 
 // ---------------------------------------------------------------------------

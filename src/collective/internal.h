@@ -1,11 +1,14 @@
 // Private state of CollectiveGroup, shared by the algorithm translation units
-// (collective_group.cc and the per-schedule *_allreduce.cc / broadcast.cc).
-// Not part of the public API.
+// (collective_group.cc and the per-schedule *_allreduce.cc / broadcast.cc),
+// and the one copy of the index arithmetic they share: CeilDiv, the binomial
+// tree's Ctz / BinomialParent, and the NearEqualChunk split. Not part of the
+// public API.
 #ifndef RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 #define RDMADL_SRC_COLLECTIVE_INTERNAL_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,6 +19,18 @@
 
 namespace rdmadl {
 namespace collective {
+
+inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
+
+// Index of the lowest set bit of |p| > 0. Binomial-tree position p's parent
+// is p - 2^Ctz(p); its children are p + 2^j for j < Ctz(p).
+inline int Ctz(int p) {
+  int j = 0;
+  while (((p >> j) & 1) == 0) ++j;
+  return j;
+}
+
+inline int BinomialParent(int p) { return p - (1 << Ctz(p)); }
 
 // Piece |c| of the near-equal split of |count| elements into |parts|: it
 // gets count/parts elements plus one of the first count%parts remainders.
@@ -31,18 +46,6 @@ inline ChunkRange NearEqualChunk(uint64_t count, int parts, int c) {
   const uint64_t rem = count % parts;
   const uint64_t idx = static_cast<uint64_t>(c);
   return ChunkRange{idx * base + std::min<uint64_t>(idx, rem), base + (idx < rem ? 1 : 0)};
-}
-
-// The whole split: offsets and counts of all |parts| pieces.
-inline void Partition(uint64_t count, int parts, std::vector<uint64_t>* offsets,
-                      std::vector<uint64_t>* counts) {
-  offsets->resize(parts);
-  counts->resize(parts);
-  for (int i = 0; i < parts; ++i) {
-    const ChunkRange piece = NearEqualChunk(count, parts, i);
-    (*offsets)[i] = piece.offset;
-    (*counts)[i] = piece.count;
-  }
 }
 
 // Per-rank resources, all set up once at group creation (§3.2 static
@@ -109,6 +112,40 @@ struct CollectiveGroup::Rank {
   }
 };
 
+// One rank's share of one lane of a ring reduce-scatter / all-gather, the
+// flat ring over every rank or the hierarchical leader ring over the rack
+// leaders. The members stand in ring order; this rank sits at |pos| of
+// |size| and sends only to |succ|. Reduce-scatter step s (index s) writes
+// into the successor's slot (lane, s) at |slot_base| + (lane * (size - 1) + s)
+// * |slot_cap| floats; all-gather step t (index steps_rs + t) writes into its
+// data buffer at the chunk's final offset. Index i's flag is flag_base + i.
+struct CollectiveGroup::RingLane {
+  int rank = 0;
+  int succ = 0;
+  int pos = 0;
+  int size = 0;
+  int lane = 0;
+  uint64_t lane_off = 0;  // Elements.
+  uint64_t lane_cnt = 0;  // Elements.
+  uint64_t slot_base = 0;  // Bytes into the slot area.
+  uint64_t slot_cap = 0;   // Elements per (lane, step) slot.
+  int flag_base = 0;
+  int delta = 0;     // Chunk shift: 0 fused, size - 1 for standalone ops.
+  int steps_rs = 0;  // size - 1, or 0 without a reduce-scatter.
+  int steps_ag = 0;  // size - 1, or 0 without an all-gather.
+  // Start of the current phase's trace span: the lane's start time, moved
+  // by a hook that closes a span.
+  int64_t phase_start = 0;
+  // Run, in the event that finishes the phase, before the lane moves on.
+  std::function<void(RingLane&)> on_rs_done;
+  std::function<void(RingLane&)> on_ag_done;
+
+  // Byte offset of reduce-scatter slot (lane, s) in the receiver's slot area.
+  uint64_t slot_offset(int s) const {
+    return slot_base + (static_cast<uint64_t>(lane) * (size - 1) + s) * slot_cap * sizeof(float);
+  }
+};
+
 // One in-flight collective. Closures capture the op by shared_ptr so a
 // completion that races with teardown (e.g. after a failure finished the op
 // early) finds |finished| set and backs off instead of touching freed state.
@@ -135,8 +172,7 @@ struct CollectiveGroup::Op {
   int pending_units = 0;
 
   // Lane partition of [0, count), in elements.
-  std::vector<uint64_t> lane_offset;
-  std::vector<uint64_t> lane_count;
+  std::vector<ChunkRange> lanes;
 
   // Naive gather: virtual time at which the root's reduce core frees up
   // (arrivals reduce serially on one core).

@@ -25,15 +25,19 @@ void CollectiveGroup::StartNaiveGather(const std::shared_ptr<Op>& op) {
   // arrival.
   op->pending_units = 2 * (n - 1);
   op->root_cpu_free_ns = simulator()->Now();
+  DeclareFlags(op, /*rank=*/0, /*first=*/0, /*count=*/n - 1, "gather");
+  for (int k = 1; k < n; ++k) DeclareFlags(op, k, /*first=*/0, /*count=*/1, "result");
 
   // Peers push their full vector into their parking slot at the root.
+  auto park = [this](int k) {
+    return naive_slot_offset_ + static_cast<uint64_t>(k - 1) * max_elements_ * sizeof(float);
+  };
   for (int k = 1; k < n; ++k) {
     Rank* peer = ranks_[k].get();
     const Rank::PeerAddrs& root_addrs = peer->peers[0];
-    const uint64_t park =
-        naive_slot_offset_ + static_cast<uint64_t>(k - 1) * max_elements_ * sizeof(float);
     PostChunk(op, k, /*dst_rank=*/0, /*qp_lane=*/k - 1, peer->data_addr, peer->data_lkey,
-              root_addrs.slots.addr + park, root_addrs.slots.rkey, bytes, /*flag_index=*/k - 1);
+              root_addrs.slots.addr + park(k), root_addrs.slots.rkey, bytes,
+              /*flag_index=*/k - 1);
   }
 
   // The root watches one flag per peer; arrivals reduce serially on the
@@ -41,28 +45,20 @@ void CollectiveGroup::StartNaiveGather(const std::shared_ptr<Op>& op) {
   // behind it).
   for (int k = 1; k < n; ++k) {
     StartWaiter(op, /*rank=*/0, /*flag_base=*/k - 1, /*num_flags=*/1,
-                [this, op, k, n, bytes](int, std::function<void()> resume) {
+                [this, op, k, n, bytes, park](int, std::function<void()> resume) {
                   const int64_t begin =
                       std::max(simulator()->Now(), op->root_cpu_free_ns);
                   const int64_t end = begin + ReduceNs(bytes);
                   op->root_cpu_free_ns = end;
-                  simulator()->ScheduleAt(end, [this, op, k, n, bytes, begin,
+                  simulator()->ScheduleAt(end, [this, op, k, n, bytes, begin, park,
                                                 resume = std::move(resume)] {
                     if (op->finished) return;
-                    Rank* root = ranks_[0].get();
-                    if (root->data_region.valid() && op->count > 0) {
-                      const uint64_t park =
-                          naive_slot_offset_ +
-                          static_cast<uint64_t>(k - 1) * max_elements_ * sizeof(float);
-                      const float* src =
-                          reinterpret_cast<const float*>(root->slot_ptr() + park);
-                      float* dst = root->data_ptr();
-                      for (uint64_t i = 0; i < op->count; ++i) dst[i] += src[i];
-                    }
+                    FoldSlot(/*rank=*/0, park(k), /*data_offset=*/0, op->count);
                     sim::TraceSpan(RankTrack(0), StrCat("reduce r", k), begin,
                                    simulator()->Now());
                     if (++op->naive_reduced == n - 1) {
                       // Result is final: scatter it back to every peer.
+                      Rank* root = ranks_[0].get();
                       for (int j = 1; j < n; ++j) {
                         const Rank::PeerAddrs& peer = root->peers[j];
                         PostChunk(op, /*src_rank=*/0, j, /*qp_lane=*/j - 1, root->data_addr,

@@ -1,12 +1,15 @@
-// Ring reduce-scatter / all-gather / fused all-reduce.
+// Ring reduce-scatter / all-gather / fused all-reduce, and the one ring lane
+// routine (StartRingLane) that both the flat ring and the hierarchical
+// schedule's leader ring run.
 //
-// The ring is the rank order 0..N-1 (rank r sends only to (r+1) % N). Each
+// The flat ring is the rank order 0..N-1 (rank r sends only to (r+1) % N). Each
 // pipeline lane runs the schedule independently over its own slice of the
 // vector; a lane's all-gather begins the moment its reduce-scatter finishes,
 // so later lanes' reduce traffic overlaps earlier lanes' gather traffic.
 //
 // With shift parameter d (0 for the fused all-reduce, N-1 for standalone
-// ops, so that standalone reduce-scatter leaves rank r owning chunk r):
+// ops, so that standalone reduce-scatter leaves rank r owning chunk r), and r
+// the rank's position in the ring:
 //
 //   reduce-scatter step s:  rank r sends lane-chunk (r - s + d) mod N into
 //     its successor's per-step slot (lane, s); on the arrival of step s it
@@ -42,115 +45,101 @@ void CollectiveGroup::StartRing(const std::shared_ptr<Op>& op, bool do_reduce_sc
   // partition (Chunk()); the fused all-reduce pipelines across lanes.
   const bool fused = do_reduce_scatter && do_all_gather;
   const int lanes = fused ? options_.pipeline_depth : 1;
-  Partition(op->count, lanes, &op->lane_offset, &op->lane_count);
+  PartitionLanes(op, lanes, /*units_per_lane=*/n);
 
-  const int steps_rs = do_reduce_scatter ? n - 1 : 0;
-  const int steps_ag = do_all_gather ? n - 1 : 0;
-  const int total_steps = steps_rs + steps_ag;
-  const int delta = fused ? 0 : n - 1;
-
-  int active_lanes = 0;
-  for (int l = 0; l < lanes; ++l) {
-    if (op->lane_count[l] > 0) active_lanes++;
-  }
-  op->pending_units = active_lanes * n;
-  if (op->pending_units == 0) {
-    Finish(op);
-    return;
-  }
+  RingLane ring;
+  ring.size = n;
+  ring.slot_cap = chunk_cap_elements_;
+  ring.delta = fused ? 0 : n - 1;
+  ring.steps_rs = do_reduce_scatter ? n - 1 : 0;
+  ring.steps_ag = do_all_gather ? n - 1 : 0;
+  ring.on_rs_done = [this](RingLane& lane) {
+    sim::TraceSpan(RankTrack(lane.rank), StrCat("rs l", lane.lane, " ", lane.lane_cnt, "e"),
+                   lane.phase_start, simulator()->Now());
+    lane.phase_start = simulator()->Now();
+  };
+  ring.on_ag_done = [this](RingLane& lane) {
+    sim::TraceSpan(RankTrack(lane.rank), StrCat("ag l", lane.lane, " ", lane.lane_cnt, "e"),
+                   lane.phase_start, simulator()->Now());
+  };
+  const int total_steps = ring.steps_rs + ring.steps_ag;
 
   for (int r = 0; r < n; ++r) {
     for (int l = 0; l < lanes; ++l) {
-      const uint64_t lane_off = op->lane_offset[l];
-      const uint64_t lane_cnt = op->lane_count[l];
-      if (lane_cnt == 0) continue;
-      const int succ = (r + 1) % n;
-      const int flag_base = l * total_steps;
-      const int owner = (r + 1 + delta) % n;
+      if (op->lanes[l].count > 0) DeclareFlags(op, r, l * total_steps, total_steps, "ring");
+    }
+  }
+  for (int r = 0; r < n; ++r) {
+    for (int l = 0; l < lanes; ++l) {
+      if (op->lanes[l].count == 0) continue;
+      ring.rank = r;
+      ring.succ = (r + 1) % n;
+      ring.pos = r;
+      ring.lane = l;
+      ring.lane_off = op->lanes[l].offset;
+      ring.lane_cnt = op->lanes[l].count;
+      ring.flag_base = l * total_steps;
+      StartRingLane(op, ring);
+    }
+  }
+}
 
-      auto post_rs = [this, op, r, l, succ, lane_off, lane_cnt, delta, n, flag_base](int s) {
-        const int send_chunk = ((r - s + delta) % n + n) % n;
-        const ChunkRange chunk = NearEqualChunk(lane_cnt, n, send_chunk);
-        Rank* self = ranks_[r].get();
-        const Rank::PeerAddrs& peer = self->peers[succ];
-        const uint64_t slot_off =
-            (static_cast<uint64_t>(l) * (n - 1) + s) * chunk_cap_elements_ * sizeof(float);
-        PostChunk(op, r, succ, l, self->data_addr + (lane_off + chunk.offset) * sizeof(float),
-                  self->data_lkey, peer.slots.addr + slot_off, peer.slots.rkey,
-                  chunk.count * sizeof(float), flag_base + s);
-      };
-
-      auto post_ag = [this, op, r, l, succ, lane_off, lane_cnt, owner, n, flag_base,
-                      steps_rs](int t) {
-        const int send_chunk = ((owner - t) % n + n) % n;
-        const ChunkRange chunk = NearEqualChunk(lane_cnt, n, send_chunk);
-        Rank* self = ranks_[r].get();
-        const Rank::PeerAddrs& peer = self->peers[succ];
-        const uint64_t byte_off = (lane_off + chunk.offset) * sizeof(float);
-        PostChunk(op, r, succ, l, self->data_addr + byte_off, self->data_lkey,
-                  peer.data.addr + byte_off, peer.data.rkey, chunk.count * sizeof(float),
-                  flag_base + steps_rs + t);
-      };
-
-      if (steps_rs > 0) {
-        post_rs(0);
-      } else {
-        post_ag(0);
-      }
-
-      auto phase_start = std::make_shared<int64_t>(simulator()->Now());
-      auto on_arrival = [this, op, r, l, lane_off, lane_cnt, delta, n, steps_rs, steps_ag,
-                         post_rs, post_ag,
-                         phase_start](int index, std::function<void()> resume) {
-        if (index < steps_rs) {
-          // Reduce-scatter arrival s: fold slot (l, s) into the chunk it
+void CollectiveGroup::StartRingLane(const std::shared_ptr<Op>& op, RingLane spec) {
+  // Owned by the lane's closures, not by the op: a hook may hold the op.
+  auto ring = std::make_shared<RingLane>(std::move(spec));
+  ring->phase_start = simulator()->Now();
+  PostRingStep(op, *ring, 0);
+  StartWaiter(
+      op, ring->rank, ring->flag_base, ring->steps_rs + ring->steps_ag,
+      [this, op, ring](int index, std::function<void()> resume) {
+        if (index < ring->steps_rs) {
+          // Reduce-scatter arrival s: fold slot (lane, s) into the chunk it
           // carries, then (causally after the reduce) send the next step.
           const int s = index;
-          const int recv_chunk = ((r - s - 1 + delta) % n + n) % n;
-          const ChunkRange chunk = NearEqualChunk(lane_cnt, n, recv_chunk);
-          const uint64_t bytes = chunk.count * sizeof(float);
+          const int n = ring->size;
+          const int recv_chunk = ((ring->pos - s - 1 + ring->delta) % n + n) % n;
+          const ChunkRange chunk = NearEqualChunk(ring->lane_cnt, n, recv_chunk);
           simulator()->ScheduleAfter(
-              ReduceNs(bytes),
-              [this, op, r, l, s, chunk, lane_off, lane_cnt, n, steps_rs, steps_ag, post_rs,
-               post_ag, phase_start, resume = std::move(resume)] {
+              ReduceNs(chunk.count * sizeof(float)),
+              [this, op, ring, s, chunk, resume = std::move(resume)] {
                 if (op->finished) return;
-                Rank* self = ranks_[r].get();
-                if (self->data_region.valid() && chunk.count > 0) {
-                  const uint64_t slot_off =
-                      (static_cast<uint64_t>(l) * (n - 1) + s) * chunk_cap_elements_ *
-                      sizeof(float);
-                  const float* src =
-                      reinterpret_cast<const float*>(self->slot_ptr() + slot_off);
-                  float* dst = self->data_ptr() + lane_off + chunk.offset;
-                  for (uint64_t i = 0; i < chunk.count; ++i) dst[i] += src[i];
-                }
-                if (s + 1 < steps_rs) {
-                  post_rs(s + 1);
-                } else {
-                  sim::TraceSpan(RankTrack(r), StrCat("rs l", l, " ", lane_cnt, "e"),
-                                 *phase_start, simulator()->Now());
-                  *phase_start = simulator()->Now();
-                  if (steps_ag > 0) post_ag(0);
-                }
+                FoldSlot(ring->rank, ring->slot_offset(s), ring->lane_off + chunk.offset,
+                         chunk.count);
+                if (s + 1 == ring->steps_rs && ring->on_rs_done) ring->on_rs_done(*ring);
+                if (s + 1 < ring->steps_rs + ring->steps_ag) PostRingStep(op, *ring, s + 1);
                 resume();
               });
           return;
         }
-        // All-gather arrival t: the chunk already sits at its final offset;
+        // All-gather arrival: the chunk already sits at its final offset;
         // forward it unless this was the last step.
-        const int t = index - steps_rs;
-        if (t + 1 < steps_ag) {
-          post_ag(t + 1);
-        } else {
-          sim::TraceSpan(RankTrack(r), StrCat("ag l", l, " ", lane_cnt, "e"), *phase_start,
-                         simulator()->Now());
+        if (index + 1 < ring->steps_rs + ring->steps_ag) {
+          PostRingStep(op, *ring, index + 1);
+        } else if (ring->on_ag_done) {
+          ring->on_ag_done(*ring);
         }
         resume();
-      };
+      });
+}
 
-      StartWaiter(op, r, flag_base, total_steps, std::move(on_arrival));
-    }
-  }
+void CollectiveGroup::PostRingStep(const std::shared_ptr<Op>& op, const RingLane& ring,
+                                   int index) {
+  const int n = ring.size;
+  const bool reduce = index < ring.steps_rs;
+  // Reduce-scatter step s sends chunk (pos - s + d); all-gather step t sends
+  // chunk (owner - t), where the rank owns chunk owner = pos + 1 + d.
+  const int first = reduce ? ring.pos + ring.delta : ring.pos + 1 + ring.delta;
+  const int step = reduce ? index : index - ring.steps_rs;
+  const int send_chunk = ((first - step) % n + n) % n;
+  const ChunkRange chunk = NearEqualChunk(ring.lane_cnt, n, send_chunk);
+  Rank* self = ranks_[ring.rank].get();
+  const Rank::PeerAddrs& peer = self->peers[ring.succ];
+  const uint64_t byte_off = (ring.lane_off + chunk.offset) * sizeof(float);
+  const device::RemoteRegion& target = reduce ? peer.slots : peer.data;
+  const uint64_t target_off = reduce ? ring.slot_offset(index) : byte_off;
+  PostChunk(op, ring.rank, ring.succ, ring.lane, self->data_addr + byte_off, self->data_lkey,
+            target.addr + target_off, target.rkey, chunk.count * sizeof(float),
+            ring.flag_base + index);
 }
 
 }  // namespace collective

@@ -4,19 +4,28 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/check/mutation.h"
+#include "src/check/testing.h"
 #include "src/net/fabric.h"
+#include "src/net/topology.h"
 #include "src/rdma/verbs.h"
 
 namespace rdmadl {
 namespace collective {
 namespace {
 
-// A self-contained simulated cluster sized for one test.
+RDMADL_REGISTER_PROTOCOL_CHECK_LISTENER();
+
+// A self-contained simulated cluster sized for one test (flat fabric unless a
+// topology is given).
 struct World {
-  explicit World(int num_hosts)
-      : fabric(&simulator, cost, num_hosts), rdma(&fabric), directory(&rdma) {}
+  explicit World(int num_hosts, const net::TopologyConfig& topo = {},
+                 const net::CostModel& cost_model = {})
+      : cost(cost_model), fabric(&simulator, cost, num_hosts, topo), rdma(&fabric),
+        directory(&rdma) {}
 
   std::unique_ptr<CollectiveGroup> MakeGroup(int n, uint64_t max_elements,
                                              CollectiveOptions options = {}) {
@@ -356,6 +365,277 @@ TEST(CollectiveTest, BackToBackCollectivesReuseTheGroup) {
   // not all n*(n-1) pairs.
   EXPECT_EQ(group->stats().setup_rpcs, 4);
 }
+
+// Every schedule declares the flags it polls before it posts, so a plain
+// RdmaCheck (no polled-flag tracking) reports a poller that trusts a flag
+// byte no write has covered yet.
+TEST(CollectiveCheckTest, PrematureFlagTrustIsReportedOnEverySchedule) {
+  const struct {
+    const char* name;
+    Algorithm algorithm;
+    Transport transport;
+    bool broadcast;
+  } kRows[] = {{"ring zero-copy", Algorithm::kRing, Transport::kRdmaZeroCopy, false},
+               {"ring tcp", Algorithm::kRing, Transport::kTcpStaging, false},
+               {"naive gather", Algorithm::kNaiveGather, Transport::kRdmaZeroCopy, false},
+               {"broadcast", Algorithm::kRing, Transport::kRdmaZeroCopy, true}};
+  for (const auto& row : kRows) {
+    check::RdmaCheck checker;  // Installed before the world, so it sees every MR.
+    World world(4);
+    CollectiveOptions options;
+    options.algorithm = row.algorithm;
+    options.transport = row.transport;
+    const uint64_t count = 1031;
+    auto group = world.MakeGroup(4, count, options);
+    FillInputs(group.get(), count);
+    {
+      // The op's status is beside the point: trusted too early, pollers fold
+      // and forward whatever the slots hold.
+      check::ScopedMutation mutation(check::kPrematureFlagTrust);
+      (void)RunOp(&world, [&](DoneCallback done) {
+        if (row.broadcast) {
+          group->Broadcast(/*root=*/0, count, std::move(done));
+        } else {
+          group->AllReduce(count, std::move(done));
+        }
+      });
+    }
+    EXPECT_GT(checker.count(check::DiagKind::kPrematureFlagRead), 0)
+        << row.name << ":\n"
+        << checker.Report();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Virtual-time decision table: every schedule x transport shape pinned to the
+// nanosecond, with the chunk-post counters and the materialized result. A
+// refactor that reorders same-time events, moves a slot or a flag, or changes
+// what a schedule posts shows up here as a moved row.
+
+enum class OpKind { kAllReduce, kReduceScatter, kAllGather, kBroadcast };
+
+struct TimingCase {
+  std::string name;
+  OpKind op = OpKind::kAllReduce;
+  Algorithm algorithm = Algorithm::kRing;
+  Transport transport = Transport::kRdmaZeroCopy;
+  int hosts = 4;
+  int hosts_per_rack = 0;  // 0 = flat fabric.
+  bool switch_reduce = false;
+  int pipeline_depth = 4;
+  // Finite per-QP engine rate and a 4 KiB stripe threshold, so chunks stripe.
+  bool striped = false;
+  uint64_t count = 1031;
+  // Pinned outcome.
+  int64_t done_ns = 0;
+  int64_t ring_steps = 0;
+  uint64_t bytes_sent = 0;
+};
+
+constexpr int kBroadcastRoot = 1;
+
+// Inputs whose expected outputs the op defines: FillInputs for the reducing
+// ops, chunk r only on rank r for AllGather, the root's vector for Broadcast.
+void FillTimingInputs(CollectiveGroup* group, const TimingCase& c) {
+  if (c.op == OpKind::kAllReduce || c.op == OpKind::kReduceScatter) {
+    FillInputs(group, c.count);
+    return;
+  }
+  for (int r = 0; r < group->size(); ++r) {
+    float* data = group->data(r);
+    for (uint64_t i = 0; i < c.count; ++i) {
+      data[i] = c.op == OpKind::kBroadcast && r == kBroadcastRoot
+                    ? static_cast<float>(3 * i + 1)
+                    : -7.0f;
+    }
+    if (c.op == OpKind::kAllGather) {
+      const auto [offset, length] = group->Chunk(c.count, r);
+      for (uint64_t i = offset; i < offset + length; ++i) {
+        data[i] = static_cast<float>(1000 * r + i % 100);
+      }
+    }
+  }
+}
+
+// The value element |i| of |rank| must hold after the op, or NaN where the
+// op leaves it unspecified (a reduce-scatter's chunks owned by other ranks).
+float ExpectedValue(const CollectiveGroup& group, const TimingCase& c, int rank, uint64_t i) {
+  const int n = group.size();
+  switch (c.op) {
+    case OpKind::kAllReduce:
+      return ExpectedSum(n, i);
+    case OpKind::kReduceScatter: {
+      const auto [offset, length] = group.Chunk(c.count, rank);
+      return i >= offset && i < offset + length ? ExpectedSum(n, i) : NAN;
+    }
+    case OpKind::kAllGather:
+      for (int owner = 0; owner < n; ++owner) {
+        const auto [offset, length] = group.Chunk(c.count, owner);
+        if (i >= offset && i < offset + length) {
+          return static_cast<float>(1000 * owner + i % 100);
+        }
+      }
+      return NAN;
+    case OpKind::kBroadcast:
+      return static_cast<float>(3 * i + 1);
+  }
+  return NAN;
+}
+
+class CollectiveTimingTest : public ::testing::TestWithParam<TimingCase> {};
+
+TEST_P(CollectiveTimingTest, PinsCompletionTimeStatsAndSum) {
+  const TimingCase& c = GetParam();
+  net::TopologyConfig topo;
+  topo.hosts_per_rack = c.hosts_per_rack;
+  topo.oversubscription = c.hosts_per_rack > 0 ? 4.0 : 1.0;
+  topo.switch_reduce = c.switch_reduce;
+  topo.switch_reduce_window_bytes = 1024;  // Multi-round lanes with a ragged tail.
+  net::CostModel cost;
+  if (c.striped) cost.rdma_qp_engine_bytes_per_sec = 12e9;
+  World world(c.hosts, topo, cost);
+
+  CollectiveOptions options;
+  options.algorithm = c.algorithm;
+  options.transport = c.transport;
+  options.pipeline_depth = c.pipeline_depth;
+  if (c.striped) options.engine.stripe_threshold_bytes = 4 << 10;
+  auto group = world.MakeGroup(c.hosts, c.count, options);
+  ASSERT_EQ(group->algorithm(), c.algorithm);
+  FillTimingInputs(group.get(), c);
+
+  const CollectiveStats before = group->stats();
+  int64_t done_ns = -1;
+  auto on_done = [&](DoneCallback done) {
+    return [&done_ns, &world, done = std::move(done)](const Status& s) {
+      done_ns = world.simulator.Now();
+      done(s);
+    };
+  };
+  ASSERT_TRUE(RunOp(&world, [&](DoneCallback done) {
+                switch (c.op) {
+                  case OpKind::kAllReduce:
+                    group->AllReduce(c.count, on_done(std::move(done)));
+                    break;
+                  case OpKind::kReduceScatter:
+                    group->ReduceScatter(c.count, on_done(std::move(done)));
+                    break;
+                  case OpKind::kAllGather:
+                    group->AllGather(c.count, on_done(std::move(done)));
+                    break;
+                  case OpKind::kBroadcast:
+                    group->Broadcast(kBroadcastRoot, c.count, on_done(std::move(done)));
+                    break;
+                }
+              }).ok());
+  const CollectiveStats& after = group->stats();
+  EXPECT_EQ(done_ns, c.done_ns);
+  EXPECT_EQ(after.ring_steps - before.ring_steps, c.ring_steps);
+  EXPECT_EQ(after.bytes_sent - before.bytes_sent, c.bytes_sent);
+
+  for (int r = 0; r < group->size(); ++r) {
+    const float* data = group->data(r);
+    for (uint64_t i = 0; i < c.count; ++i) {
+      const float want = ExpectedValue(*group, c, r, i);
+      if (std::isnan(want)) continue;
+      ASSERT_EQ(data[i], want) << c.name << " rank=" << r << " i=" << i;
+    }
+  }
+}
+
+std::vector<TimingCase> AllTimingCases() {
+  std::vector<TimingCase> cases;
+  auto add = [&cases](TimingCase c, int64_t done_ns, int64_t ring_steps, uint64_t bytes_sent) {
+    c.done_ns = done_ns;
+    c.ring_steps = ring_steps;
+    c.bytes_sent = bytes_sent;
+    cases.push_back(std::move(c));
+  };
+  const struct {
+    const char* name;
+    OpKind op;
+  } kRingOps[] = {{"AllReduce", OpKind::kAllReduce},
+                  {"ReduceScatter", OpKind::kReduceScatter},
+                  {"AllGather", OpKind::kAllGather},
+                  {"Broadcast", OpKind::kBroadcast}};
+  const struct {
+    const char* name;
+    Transport transport;
+  } kTransports[] = {{"ZeroCopy", Transport::kRdmaZeroCopy}, {"Tcp", Transport::kTcpStaging}};
+  // Expected {done_ns, ring_steps, bytes_sent}, in kRingOps x kTransports order.
+  const int64_t kRing[][3] = {
+      {38026, 96, 24744}, {870586, 96, 24744},  // AllReduce.
+      {20261, 12, 12372}, {438581, 12, 12372},  // ReduceScatter.
+      {20108, 12, 12372}, {438428, 12, 12372},  // AllGather.
+      {44388, 24, 12372}, {440348, 24, 12372},  // Broadcast.
+  };
+  int row = 0;
+  for (const auto& op : kRingOps) {
+    for (const auto& transport : kTransports) {
+      TimingCase c;
+      c.name = std::string("Ring") + op.name + transport.name;
+      c.op = op.op;
+      c.transport = transport.transport;
+      add(c, kRing[row][0], kRing[row][1], static_cast<uint64_t>(kRing[row][2]));
+      ++row;
+    }
+  }
+  for (const auto& transport : kTransports) {
+    TimingCase c;
+    c.name = std::string("NaiveGather") + transport.name;
+    c.algorithm = Algorithm::kNaiveGather;
+    c.transport = transport.transport;
+    add(c, c.transport == Transport::kTcpStaging ? 327228 : 21708, 6, 24744);
+  }
+  TimingCase depth1;
+  depth1.name = "RingAllReduceDepth1";
+  depth1.pipeline_depth = 1;
+  add(depth1, 38141, 24, 24744);
+  TimingCase striped;
+  striped.name = "RingAllReduceStriped";
+  striped.striped = true;
+  striped.count = 16384;  // 4 KiB ring chunks per lane.
+  add(striped, 83160, 96, 393216);
+
+  // Hierarchical: an uneven two-rack fill (4 + 2) and an uneven three-rack
+  // fill (4 + 4 + 2), whose leader ring runs more than one step per phase.
+  TimingCase hier;
+  hier.algorithm = Algorithm::kHierarchical;
+  hier.hosts = 6;
+  hier.hosts_per_rack = 4;
+  hier.name = "HierarchicalUnevenTwoRacks";
+  add(hier, 54868, 48, 41240);
+  hier.name = "HierarchicalUnevenTwoRacksDepth1";
+  hier.pipeline_depth = 1;
+  add(hier, 70948, 12, 41240);
+  hier.pipeline_depth = 4;
+  hier.hosts = 10;
+  hier.name = "HierarchicalUnevenThreeRacks";
+  add(hier, 70948, 104, 74232);
+  hier.name = "HierarchicalUnevenThreeRacksTcp";
+  hier.transport = Transport::kTcpStaging;
+  add(hier, 1164388, 104, 74232);
+  hier.name = "HierarchicalUnevenThreeRacksStriped";
+  hier.transport = Transport::kRdmaZeroCopy;
+  hier.striped = true;
+  hier.count = 16384;
+  add(hier, 119188, 104, 1179648);
+
+  TimingCase innet;
+  innet.name = "InNetworkSwitchReduce";
+  innet.algorithm = Algorithm::kInNetwork;
+  innet.hosts = 8;
+  innet.hosts_per_rack = 4;
+  innet.switch_reduce = true;
+  add(innet, 22788, 0, 32992);  // The switch posts no chunks.
+  return cases;
+}
+
+void PrintTo(const TimingCase& c, std::ostream* os) { *os << c.name; }
+
+INSTANTIATE_TEST_SUITE_P(DecisionTable, CollectiveTimingTest,
+                         ::testing::ValuesIn(AllTimingCases()),
+                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace collective
