@@ -32,7 +32,7 @@ void Run() {
     local.model = model;
     local.num_machines = 1;
     local.batch_size = kBatch;
-    local.local_only = true;
+    local.mode = train::TrainingMode::kLocal;
     bench::StepResult local_result = bench::MeasureConfig(local, 1, 2);
     CHECK(local_result.ok()) << local_result.error;
     const double local_sps = 1000.0 / local_result.step_ms * kBatch;

@@ -63,7 +63,7 @@ MeasureOut MeasureTransfer(Mech mech, const MeasureSpec& spec) {
   cluster_options.num_machines = 2;
   cluster_options.mode = ops::ComputeMode::kSimulated;
   cluster_options.cost = spec.cost;
-  cluster_options.process_defaults.rdma_arena_bytes = 16ull << 30;
+  cluster_options.rdma_arena_bytes = 16ull << 30;
   runtime::Cluster cluster(cluster_options);
   CHECK_OK(cluster.AddProcess("ps:0", 0).status());
   CHECK_OK(cluster.AddProcess("worker:0", 1).status());

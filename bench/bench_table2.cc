@@ -23,7 +23,7 @@ void Run() {
     config.model = model;
     config.num_machines = 1;
     config.batch_size = 1;
-    config.local_only = true;
+    config.mode = train::TrainingMode::kLocal;
     bench::StepResult result = bench::MeasureConfig(config, /*warmup=*/1, /*steps=*/3);
     CHECK(result.ok()) << result.error;
     std::printf("%-14s | %10.2f %10.2f | %6d %6d | %12.2f %12.2f\n", model.name.c_str(),

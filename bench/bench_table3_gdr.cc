@@ -101,7 +101,7 @@ double MeasureRoute(GdrRoute route, uint64_t bytes, int steps) {
   runtime::ClusterOptions cluster_options;
   cluster_options.num_machines = 2;
   cluster_options.mode = ops::ComputeMode::kSimulated;
-  cluster_options.process_defaults.rdma_arena_bytes = 4ull << 30;
+  cluster_options.rdma_arena_bytes = 4ull << 30;
   cluster_options.worker_tensors_on_gpu = true;
   cluster_options.worker_gpudirect = route != GdrRoute::kStaged;
   runtime::Cluster cluster(cluster_options);

@@ -168,8 +168,8 @@ std::unique_ptr<runtime::Cluster> MakeCluster() {
   runtime::ClusterOptions options;
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;  // Full numerics.
-  options.process_defaults.rdma_arena_bytes = 8ull << 20;
-  options.process_defaults.seed = 42;
+  options.rdma_arena_bytes = 8ull << 20;
+  options.seed = 42;
   auto cluster = std::make_unique<runtime::Cluster>(options);
   CHECK_OK(cluster->AddProcess("ps:0", 0).status());
   CHECK_OK(cluster->AddProcess("worker:0", 1).status());

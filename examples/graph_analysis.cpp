@@ -27,7 +27,7 @@ int main() {
   runtime::ClusterOptions options;
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;
-  options.process_defaults.rdma_arena_bytes = 8ull << 20;
+  options.rdma_arena_bytes = 8ull << 20;
   runtime::Cluster cluster(options);
   CHECK_OK(cluster.AddProcess("ps:0", 0).status());
   CHECK_OK(cluster.AddProcess("worker:0", 1).status());

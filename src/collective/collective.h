@@ -53,7 +53,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/comm/transfer_engine.h"
 #include "src/device/rdma_device.h"
 #include "src/util/status.h"
 
@@ -88,32 +87,25 @@ enum class Transport {
   kTcpStaging,    // gRPC-TCP-style: serialize + TCP stream + deserialize.
 };
 
-const char* AlgorithmName(Algorithm algorithm);
-const char* TransportName(Transport transport);
-
 struct CollectiveOptions {
   Algorithm algorithm = Algorithm::kRing;
   Transport transport = Transport::kRdmaZeroCopy;
-  // Ring lanes that pipeline independently; slot memory scales with this.
+  // Ring lanes that pipeline independently, in [1, 64]; slot memory scales
+  // with this.
   int pipeline_depth = 4;
-  // Segments a Broadcast is chopped into for chained pipelining.
-  int broadcast_segments = 8;
-  // Port the group's per-rank devices bind on their hosts.
-  uint16_t port = 7100;
   // Real payload memory (tests, examples) vs. virtual ranges (benchmarks).
   bool materialize = true;
-  // Device-library parallelism for the group's devices.
+  // Device-library parallelism for the group's devices, in [1, 16].
   int num_cqs = 2;
-  // Tracer track prefix for collective spans ("host0 ring[0]", ...).
-  std::string trace_prefix = "ring";
   // Virtual-time budget for one collective; 0 = unlimited. A collective still
   // in flight when the budget elapses fails with kDeadlineExceeded instead of
   // hanging virtual time (e.g. a crashed peer whose flag never arrives).
   int64_t op_timeout_ns = 0;
-  // Per-rank transfer-engine knobs (lane striping of big chunks). Coalescing
-  // is always forced off here: ring flags are per-(lane, step) slots and the
-  // chunks are medium-sized, so batching would only add latency.
-  comm::TransferEngineOptions engine;
+  // Chunk writes of at least this many bytes are striped across the rank's
+  // QP lanes by its transfer engine. The engine never coalesces here: ring
+  // flags are per-(lane, step) slots and the chunks are medium-sized, so
+  // batching would only add latency.
+  uint64_t stripe_threshold_bytes = 4ull << 20;
 };
 
 struct CollectiveStats {
@@ -121,8 +113,11 @@ struct CollectiveStats {
   int64_t reduce_scatters = 0;
   int64_t all_gathers = 0;
   int64_t broadcasts = 0;
-  int64_t ring_steps = 0;    // Chunk transfers posted (any algorithm).
-  uint64_t bytes_sent = 0;   // Payload bytes put on the wire.
+  // Sends that members put on the wire, any algorithm: chunk writes (an
+  // in-network window upload counts as one per member) and their payload
+  // bytes.
+  int64_t ring_steps = 0;
+  uint64_t bytes_sent = 0;
   int64_t setup_rpcs = 0;    // Address-distribution calls (setup only).
   int64_t reconfigurations = 0;  // Membership-change ring rebuilds.
 };
@@ -130,13 +125,15 @@ struct CollectiveStats {
 using DoneCallback = std::function<void(const Status&)>;
 
 // A group of N ranks, one per listed host, each owning an RdmaDevice bound to
-// (host, options.port), a data buffer of |max_elements| floats, preallocated
+// (host, 7100), a data buffer of |max_elements| floats, preallocated
 // ring slots, and an always-real flag block. The whole group lives in one
 // simulation; the public entry points drive all ranks' state machines in
 // virtual time and invoke |done| when the collective has completed on every
 // rank (or failed anywhere). One collective may be in flight at a time.
 class CollectiveGroup {
  public:
+  // InvalidArgument naming the field when pipeline_depth or num_cqs is
+  // outside its range.
   static StatusOr<std::unique_ptr<CollectiveGroup>> Create(
       device::DeviceDirectory* directory, const std::vector<int>& hosts,
       uint64_t max_elements, CollectiveOptions options = {});

@@ -48,32 +48,6 @@ constexpr uint64_t kAutoInNetworkMaxBytes = 8ull << 20;
 
 }  // namespace
 
-const char* AlgorithmName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kRing:
-      return "ring";
-    case Algorithm::kNaiveGather:
-      return "naive-gather";
-    case Algorithm::kHierarchical:
-      return "hierarchical";
-    case Algorithm::kInNetwork:
-      return "in-network";
-    case Algorithm::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-const char* TransportName(Transport transport) {
-  switch (transport) {
-    case Transport::kRdmaZeroCopy:
-      return "rdma-zerocopy";
-    case Transport::kTcpStaging:
-      return "tcp-staging";
-  }
-  return "unknown";
-}
-
 CollectiveGroup::CollectiveGroup(device::DeviceDirectory* directory, uint64_t max_elements,
                                  CollectiveOptions options)
     : directory_(directory), max_elements_(max_elements), options_(std::move(options)) {}
@@ -99,9 +73,14 @@ StatusOr<std::unique_ptr<CollectiveGroup>> CollectiveGroup::Create(
       return InvalidArgument(StrCat("host ", host, " listed twice in collective group"));
     }
   }
-  options.pipeline_depth = std::clamp(options.pipeline_depth, 1, 64);
-  options.broadcast_segments = std::clamp(options.broadcast_segments, 1, 256);
-  options.num_cqs = std::clamp(options.num_cqs, 1, 16);
+  if (options.pipeline_depth < 1 || options.pipeline_depth > 64) {
+    return InvalidArgument(StrCat("CollectiveOptions::pipeline_depth = ",
+                                  options.pipeline_depth, " outside [1, 64]"));
+  }
+  if (options.num_cqs < 1 || options.num_cqs > 16) {
+    return InvalidArgument(
+        StrCat("CollectiveOptions::num_cqs = ", options.num_cqs, " outside [1, 16]"));
+  }
 
   std::unique_ptr<CollectiveGroup> group(
       new CollectiveGroup(directory, max_elements, std::move(options)));
@@ -202,7 +181,7 @@ void CollectiveGroup::ComputeLayout(int n) {
   // the block and its trailing constant source byte share one registration.
   const int ring_flags = lanes * (n > 1 ? 2 * (n - 1) : 1);
   flag_capacity_ =
-      std::max({ring_flags, n, options_.broadcast_segments, 1, hier_flags, innet_flags});
+      std::max({ring_flags, n, kBroadcastSegments, 1, hier_flags, innet_flags});
   flag_capacity_ = static_cast<int>(CeilDiv(flag_capacity_, 64) * 64);
 }
 
@@ -258,11 +237,12 @@ Status CollectiveGroup::LayOutRanks(const std::vector<int>& hosts) {
     const bool fresh = i == static_cast<int>(ranks_.size());
     if (fresh) {
       auto created = std::make_unique<Rank>();
-      created->endpoint = Endpoint{hosts[i], options_.port};
+      created->endpoint = Endpoint{hosts[i], kCollectivePort};
       RDMADL_ASSIGN_OR_RETURN(
           created->device,
           device::RdmaDevice::Create(directory_, options_.num_cqs, num_qps, created->endpoint));
-      comm::TransferEngineOptions engine_options = options_.engine;
+      comm::TransferEngineOptions engine_options;
+      engine_options.stripe_threshold_bytes = options_.stripe_threshold_bytes;
       engine_options.enable_coalescing = false;  // Ring flags are per-slot.
       created->engine =
           std::make_unique<comm::TransferEngine>(created->device.get(), engine_options);
@@ -386,8 +366,7 @@ int64_t CollectiveGroup::ReduceNs(uint64_t bytes) const {
 const std::string& CollectiveGroup::RankTrack(int rank) const {
   std::string& track = rank_tracks_[rank];
   if (track.empty()) {
-    track = StrCat("host", ranks_[rank]->endpoint.host_id, " ", options_.trace_prefix, "[", rank,
-                   "]");
+    track = StrCat("host", ranks_[rank]->endpoint.host_id, " ", kTracePrefix, "[", rank, "]");
   }
   return track;
 }
@@ -643,7 +622,7 @@ void CollectiveGroup::DeclareFlags(const std::shared_ptr<Op>& op, int rank, int 
   Rank* r = ranks_[rank].get();
   for (int f = first; f < first + count; ++f) {
     check::OnFlagLocation(r->endpoint.host_id, r->flags() + f,
-                          StrCat(options_.trace_prefix, " ", kind, " r", rank, " f", f));
+                          StrCat(kTracePrefix, " ", kind, " r", rank, " f", f));
     op->declared_flags.emplace_back(rank, f);
   }
 }

@@ -88,7 +88,8 @@ void CollectiveGroup::IssueInNetworkRound(const std::shared_ptr<Op>& op, int lan
   const bool mat = options_.materialize;
 
   auto hosts_vec = std::make_shared<std::vector<int>>(hosts());
-  stats_.bytes_sent += bytes * n;  // Every member streams its window uplink.
+  stats_.ring_steps += n;  // Every member streams its window uplink.
+  stats_.bytes_sent += bytes * n;
 
   float* buf = mat ? op->innet_buf.data() + static_cast<size_t>(lane) * (R + 1) * W : nullptr;
   auto phase_start = std::make_shared<int64_t>(simulator()->Now());
@@ -139,7 +140,7 @@ void CollectiveGroup::IssueInNetworkRound(const std::shared_ptr<Op>& op, int lan
           Fail(op, status);
           return;
         }
-        sim::TraceSpan(StrCat(options_.trace_prefix, " switch"),
+        sim::TraceSpan(StrCat(kTracePrefix, " switch"),
                        StrCat("innet l", lane, " w", round, " ", cnt, "e"), *phase_start,
                        simulator()->Now());
         if (round + 1 < rounds) IssueInNetworkRound(op, lane, round + 1);

@@ -20,6 +20,15 @@
 namespace rdmadl {
 namespace collective {
 
+// Port the group's per-rank devices bind on their hosts (training processes
+// use 7000/7001, the membership detector 7200).
+constexpr uint16_t kCollectivePort = 7100;
+// Segments a Broadcast is chopped into for chained pipelining.
+constexpr int kBroadcastSegments = 8;
+// Tracer track prefix for collective spans ("host0 ring[0]", ...) and the
+// checker's flag labels.
+constexpr char kTracePrefix[] = "ring";
+
 inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 
 // Index of the lowest set bit of |p| > 0. Binomial-tree position p's parent

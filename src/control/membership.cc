@@ -14,32 +14,36 @@ namespace control {
 namespace {
 
 constexpr char kPingMethod[] = "member/ping";
+// Cadence of probes from each member to its ring successor. The effective
+// probe cycle is max(kHeartbeatIntervalNs, kLeaseTimeoutNs).
+constexpr int64_t kHeartbeatIntervalNs = sim::Microseconds(200);
+// Per-probe response deadline. Must comfortably exceed the ping round trip
+// (two RPC frames) or healthy members get suspected.
+constexpr int64_t kLeaseTimeoutNs = sim::Microseconds(100);
+// Consecutive missed leases before a suspect is confirmed dead.
+constexpr int kMissedLeasesToConfirm = 3;
+// Control-plane port for the per-member detector device (training uses
+// 7000/7001, collectives 7100).
+constexpr uint16_t kMembershipPort = 7200;
 
 }  // namespace
 
-MembershipService::MembershipService(device::DeviceDirectory* directory,
-                                     MembershipOptions options)
-    : directory_(directory), options_(options) {}
+MembershipService::MembershipService(device::DeviceDirectory* directory)
+    : directory_(directory) {}
 
 MembershipService::~MembershipService() = default;
 
 StatusOr<std::unique_ptr<MembershipService>> MembershipService::Create(
-    device::DeviceDirectory* directory, const std::vector<int>& hosts,
-    const MembershipOptions& options) {
+    device::DeviceDirectory* directory, const std::vector<int>& hosts) {
   if (hosts.empty()) return InvalidArgument("membership needs at least one host");
-  if (options.heartbeat_interval_ns <= 0 || options.lease_timeout_ns <= 0 ||
-      options.missed_leases_to_confirm <= 0) {
-    return InvalidArgument("membership intervals and miss threshold must be positive");
-  }
-  auto svc = std::unique_ptr<MembershipService>(
-      new MembershipService(directory, options));
+  auto svc = std::unique_ptr<MembershipService>(new MembershipService(directory));
   for (int host : hosts) {
     if (svc->members_.count(host) > 0) {
       return InvalidArgument(StrCat("duplicate membership host ", host));
     }
     Member m;
     m.host = host;
-    m.endpoint = Endpoint{host, options.port};
+    m.endpoint = Endpoint{host, kMembershipPort};
     RDMADL_ASSIGN_OR_RETURN(m.device, device::RdmaDevice::Create(
                                           directory, /*num_cqs=*/1,
                                           /*num_qps_per_peer=*/1, m.endpoint));
@@ -72,9 +76,8 @@ int MembershipService::SuccessorOf(int host) const {
 }
 
 int64_t MembershipService::detection_bound_ns() const {
-  const int64_t cycle =
-      std::max(options_.heartbeat_interval_ns, options_.lease_timeout_ns);
-  return (options_.missed_leases_to_confirm + 1) * cycle + options_.lease_timeout_ns;
+  const int64_t cycle = std::max(kHeartbeatIntervalNs, kLeaseTimeoutNs);
+  return (kMissedLeasesToConfirm + 1) * cycle + kLeaseTimeoutNs;
 }
 
 void MembershipService::Start() {
@@ -83,12 +86,11 @@ void MembershipService::Start() {
   paused_ = false;
   // Stagger first probes across the interval so n members do not all hit the
   // wire on the same virtual instant.
-  const int64_t slice =
-      options_.heartbeat_interval_ns / static_cast<int64_t>(members_.size());
+  const int64_t slice = kHeartbeatIntervalNs / static_cast<int64_t>(members_.size());
   int i = 0;
   for (auto& [host, m] : members_) {
     (void)m;
-    ArmProbe(host, options_.heartbeat_interval_ns + i * slice);
+    ArmProbe(host, kHeartbeatIntervalNs + i * slice);
     ++i;
   }
 }
@@ -104,7 +106,7 @@ void MembershipService::Resume() {
   paused_ = false;
   for (auto& [host, m] : members_) {
     if (m.state == MemberState::kDead) continue;
-    ArmProbe(host, options_.heartbeat_interval_ns);
+    ArmProbe(host, kHeartbeatIntervalNs);
   }
 }
 
@@ -139,7 +141,7 @@ void MembershipService::SendProbe(int monitor) {
                     m.last_pong_seq = std::max(m.last_pong_seq, seq);
                     ++stats_.pongs_received;
                   });
-  simulator_->ScheduleAfter(options_.lease_timeout_ns,
+  simulator_->ScheduleAfter(kLeaseTimeoutNs,
                             [this, monitor, target, seq, epoch]() {
                               if (epoch != epoch_ || paused_) return;
                               OnLeaseExpiry(monitor, target, seq);
@@ -174,15 +176,14 @@ void MembershipService::OnLeaseExpiry(int monitor, int target, uint64_t seq) {
                                  tt.missed, ")"),
                           simulator_->Now());
       }
-      if (tt.missed >= options_.missed_leases_to_confirm) {
+      if (tt.missed >= kMissedLeasesToConfirm) {
         ConfirmDead(target);
       }
     }
   }
   // Keep the cadence: the next probe goes out one interval after the previous
   // send (the expiry fired lease_timeout after it).
-  const int64_t gap =
-      std::max<int64_t>(0, options_.heartbeat_interval_ns - options_.lease_timeout_ns);
+  const int64_t gap = std::max<int64_t>(0, kHeartbeatIntervalNs - kLeaseTimeoutNs);
   ArmProbe(monitor, gap);
 }
 

@@ -12,11 +12,11 @@
 // (the fabric refuses the transfer and the send eventually flushes), so the
 // detector arms an expiry event per probe instead of waiting for an error
 // callback. A probe whose pong arrives before the deadline renews the lease;
-// `missed_leases_to_confirm` consecutive expiries confirm the target dead and
-// fire the on_death callback.
+// kMissedLeasesToConfirm consecutive expiries confirm the target dead and
+// fire the on_death callback (the constants live in membership.cc).
 //
 // False-positive guarantee: a probe only counts as missed when its round trip
-// exceeds lease_timeout_ns. Latency spikes (or drop-triggered transport
+// exceeds kLeaseTimeoutNs. Latency spikes (or drop-triggered transport
 // retransmissions) that keep the RTT under the lease timeout therefore never
 // cause even a suspicion — the property test sweeps seeds over spiky links to
 // pin this down.
@@ -43,20 +43,6 @@
 namespace rdmadl {
 namespace control {
 
-struct MembershipOptions {
-  // Cadence of probes from each member to its ring successor. The effective
-  // probe cycle is max(heartbeat_interval_ns, lease_timeout_ns).
-  int64_t heartbeat_interval_ns = sim::Microseconds(200);
-  // Per-probe response deadline. Must comfortably exceed the ping round trip
-  // (two RPC frames) or healthy members get suspected.
-  int64_t lease_timeout_ns = sim::Microseconds(100);
-  // Consecutive missed leases before a suspect is confirmed dead.
-  int missed_leases_to_confirm = 3;
-  // Control-plane port for the per-member detector device (training uses
-  // 7000/7001, collectives 7100).
-  uint16_t port = 7200;
-};
-
 enum class MemberState { kAlive, kSuspected, kDead };
 
 struct MembershipStats {
@@ -72,8 +58,7 @@ class MembershipService {
  public:
   // One detector endpoint per monitored machine id in |hosts|.
   static StatusOr<std::unique_ptr<MembershipService>> Create(
-      device::DeviceDirectory* directory, const std::vector<int>& hosts,
-      const MembershipOptions& options);
+      device::DeviceDirectory* directory, const std::vector<int>& hosts);
   ~MembershipService();
 
   MembershipService(const MembershipService&) = delete;
@@ -107,7 +92,6 @@ class MembershipService {
   }
 
   const MembershipStats& stats() const { return stats_; }
-  const MembershipOptions& options() const { return options_; }
 
  private:
   struct Member {
@@ -121,7 +105,7 @@ class MembershipService {
     int64_t confirmed_dead_at_ns = -1;
   };
 
-  MembershipService(device::DeviceDirectory* directory, MembershipOptions options);
+  explicit MembershipService(device::DeviceDirectory* directory);
 
   // The crashed-process-stops-executing rule (see file comment).
   bool SelfDead(int host) const;
@@ -134,7 +118,6 @@ class MembershipService {
   void ConfirmDead(int target);
 
   device::DeviceDirectory* directory_;
-  MembershipOptions options_;
   sim::Simulator* simulator_ = nullptr;
   std::map<int, Member> members_;  // Ordered: probe scheduling is deterministic.
   MembershipStats stats_;

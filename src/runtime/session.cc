@@ -9,6 +9,13 @@
 
 namespace rdmadl {
 namespace runtime {
+namespace {
+
+// Simulator event budget per setup or step (guards against protocol
+// deadlocks).
+constexpr uint64_t kMaxEventsPerStep = 400'000'000;
+
+}  // namespace
 
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
@@ -25,16 +32,17 @@ StatusOr<HostRuntime*> Cluster::AddProcess(const std::string& device_name, int m
   if (machine < 0 || machine >= options_.num_machines) {
     return InvalidArgument(StrCat("machine index out of range: ", machine));
   }
-  HostRuntimeOptions opts = options_.process_defaults;
-  opts.device_name = device_name;
-  opts.mode = options_.mode;
   const bool is_worker = device_name.rfind("worker", 0) == 0;
+  HostRuntimeOptions opts;
+  opts.device_name = device_name;
   opts.endpoint = Endpoint{machine, static_cast<uint16_t>(is_worker ? 7000 : 7001)};
-  if (is_worker) {
-    opts.tensors_on_gpu = options_.worker_tensors_on_gpu;
-    opts.gpudirect = options_.worker_gpudirect;
-  }
-  opts.seed = options_.process_defaults.seed + hosts_.size() * 7919 + 1;
+  opts.mode = options_.mode;
+  opts.seed = options_.seed + hosts_.size() * 7919 + 1;
+  opts.rdma_arena_bytes = options_.rdma_arena_bytes;
+  opts.tensors_on_gpu = is_worker && options_.worker_tensors_on_gpu;
+  opts.gpudirect = is_worker && options_.worker_gpudirect;
+  opts.num_cqs = options_.num_cqs;
+  opts.num_qps_per_peer = options_.num_qps_per_peer;
   RDMADL_ASSIGN_OR_RETURN(
       std::unique_ptr<HostRuntime> host,
       HostRuntime::Create(&directory_, opts, static_cast<int>(hosts_.size())));
@@ -78,7 +86,7 @@ Status DistributedSession::Setup() {
     done = true;
   });
   RDMADL_RETURN_IF_ERROR(cluster_->simulator()->RunUntilPredicate(
-      [&] { return done; }, options_.max_events_per_step));
+      [&] { return done; }, kMaxEventsPerStep));
   RDMADL_RETURN_IF_ERROR(setup_status);
   for (auto& [device, executor] : executors_) executor->ResolveRecvSlots();
   setup_done_ = true;
@@ -104,8 +112,8 @@ Status DistributedSession::RunStep(const std::unordered_map<std::string, tensor:
   Status sim_status =
       options_.step_timeout_ns > 0
           ? cluster_->simulator()->RunUntilPredicateOrDeadline(
-                step_done, start + options_.step_timeout_ns, options_.max_events_per_step)
-          : cluster_->simulator()->RunUntilPredicate(step_done, options_.max_events_per_step);
+                step_done, start + options_.step_timeout_ns, kMaxEventsPerStep)
+          : cluster_->simulator()->RunUntilPredicate(step_done, kMaxEventsPerStep);
   if (!step_status.ok() || !sim_status.ok()) {
     // The step is dead. Abort every executor still in flight NOW: their
     // scheduled events capture this frame's |pending|/|step_status| by

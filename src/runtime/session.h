@@ -31,8 +31,12 @@ struct ClusterOptions {
   // single-switch testbed, a hierarchical config adds rack/spine hops.
   net::TopologyConfig topology;
   ops::ComputeMode mode = ops::ComputeMode::kReal;
-  // Defaults applied to every process created by AddProcess.
-  HostRuntimeOptions process_defaults;
+  // Applied to every process created by AddProcess.
+  uint64_t rdma_arena_bytes = 256ull << 20;  // Minimum RDMA arena size.
+  uint64_t seed = 1;  // Process i draws seed + 7919 i + 1.
+  // Device-library parallelism (§3.1; the paper uses 4 CQs / 4 QPs per peer).
+  int num_cqs = 4;
+  int num_qps_per_peer = 4;
   // Worker-process overrides (the GPUDirect experiments of §3.5/Table 3 keep
   // worker tensors in GPU memory; PS processes stay on the host CPU).
   bool worker_tensors_on_gpu = false;
@@ -75,8 +79,6 @@ class Cluster {
 
 struct SessionOptions {
   ExecutorOptions executor;
-  // Simulator event budget per step (guards against protocol deadlocks).
-  uint64_t max_events_per_step = 400'000'000;
   // Virtual-time budget per step. If > 0 and a step is still incomplete at
   // now + step_timeout_ns, RunStep aborts every in-flight executor and
   // returns kDeadlineExceeded instead of hanging virtual time (e.g. after a

@@ -4,10 +4,11 @@
 // of a distributed graph (it holds per-edge state such as preallocated
 // receive buffers and distributed remote addresses). Implementations:
 //
-//   comm::RpcTcpMechanism        — gRPC-over-TCP baseline (serialize + ring
-//                                  buffer copies over the TCP plane).
-//   comm::RpcRdmaMechanism       — gRPC-over-RDMA baseline (same RPC stack,
-//                                  verbs transport; still copies+serializes).
+//   comm::RpcMechanism           — the gRPC baselines: one RPC stack
+//                                  (serialize + ring-buffer copies) over the
+//                                  plane it is given — net::Plane::kTcp for
+//                                  gRPC.TCP, net::Plane::kRdma for gRPC.RDMA
+//                                  (verbs transport, still copies+serializes).
 //   comm::ZeroCopyRdmaMechanism  — the paper's mechanism: static placement
 //                                  (§3.2), dynamic allocation (§3.3), graph-
 //                                  analyzer integration (§3.4), optional

@@ -39,6 +39,9 @@ int ExploreBoundFromEnv() {
 
 namespace {
 
+// Extra replays the minimizer may spend on one failing trace.
+constexpr uint64_t kMinimizeBudget = 96;
+
 // Deterministic per-trace jitter stream (splitmix64): the same seed always
 // perturbs the same ScheduleAfterJittered call sequence identically, which is
 // what makes a jittered schedule replayable.
@@ -276,7 +279,7 @@ ExploreResult Explorer::Explore(const ExploreWorkload& workload) {
 ScheduleTrace Explorer::Minimize(const ExploreWorkload& workload, const ScheduleTrace& failing,
                                  const std::string& failure_class, ExploreStats* stats) {
   const auto fails = [&](const ScheduleTrace& candidate) {
-    if (stats->minimize_runs >= static_cast<uint64_t>(options_.minimize_budget)) return false;
+    if (stats->minimize_runs >= kMinimizeBudget) return false;
     ++stats->minimize_runs;
     return RunOne(workload, candidate).report.failure_class == failure_class;
   };

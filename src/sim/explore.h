@@ -92,8 +92,7 @@ struct ExploreOptions {
   // sequence under per-seed delay perturbation (and branch like any other).
   int jitter_schedules = 4;
   int64_t jitter_bound_ns = 200;
-  bool minimize = true;      // Delta-debug the first failing trace.
-  int minimize_budget = 96;  // Extra replays the minimizer may spend.
+  bool minimize = true;  // Delta-debug the first failing trace (<= 96 replays).
   std::string artifact_path;  // Non-empty: dump the minimized repro as JSON.
 };
 

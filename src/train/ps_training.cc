@@ -18,30 +18,6 @@ using models::ModelSpec;
 using models::VariableSpec;
 using tensor::TensorShape;
 
-const char* TrainingModeName(TrainingMode mode) {
-  switch (mode) {
-    case TrainingMode::kParameterServer:
-      return "parameter-server";
-    case TrainingMode::kAllReduce:
-      return "all-reduce";
-  }
-  return "?";
-}
-
-const char* MechanismName(MechanismKind kind) {
-  switch (kind) {
-    case MechanismKind::kGrpcTcp:
-      return "gRPC.TCP";
-    case MechanismKind::kGrpcRdma:
-      return "gRPC.RDMA";
-    case MechanismKind::kRdmaCp:
-      return "RDMA.cp";
-    case MechanismKind::kRdmaZeroCopy:
-      return "RDMA.zerocp";
-  }
-  return "?";
-}
-
 namespace {
 
 // Per-sample forward/backward time split: the backward pass costs roughly
@@ -226,31 +202,17 @@ Status BuildShardedGraph(const ModelSpec& model, const std::vector<int>& worker_
 
 }  // namespace
 
-Status BuildDataParallelGraph(const ModelSpec& model, int num_workers, int num_ps,
-                              int batch_size, bool local_only, Graph* graph) {
-  if (num_workers < 1 || num_ps < 1 || batch_size < 1) {
-    return InvalidArgument("workers, ps and batch size must be positive");
-  }
-  if (local_only) {
-    // The whole graph on one worker: variables unsharded, SGD at GPU rates.
-    return BuildShardedGraph(model, {0}, {"worker:0"}, batch_size, kGpuApplyBytesPerSec,
-                             graph);
-  }
-  std::vector<int> worker_machines(num_workers);
-  for (int w = 0; w < num_workers; ++w) worker_machines[w] = w;
-  std::vector<std::string> ps_devices;
-  ps_devices.reserve(num_ps);
-  for (int p = 0; p < num_ps; ++p) ps_devices.push_back(StrCat("ps:", p));
-  return BuildShardedGraph(model, worker_machines, ps_devices, batch_size,
-                           kPsApplyBytesPerSec, graph);
-}
-
 Status BuildDataParallelGraph(const ModelSpec& model,
                               const std::vector<int>& worker_machines,
                               const std::vector<std::string>& ps_devices, int batch_size,
                               Graph* graph) {
   return BuildShardedGraph(model, worker_machines, ps_devices, batch_size,
                            kPsApplyBytesPerSec, graph);
+}
+
+Status BuildLocalGraph(const ModelSpec& model, int batch_size, Graph* graph) {
+  // The whole graph on one worker: variables unsharded, SGD at GPU rates.
+  return BuildShardedGraph(model, {0}, {"worker:0"}, batch_size, kGpuApplyBytesPerSec, graph);
 }
 
 Status BuildAllReduceGraph(const ModelSpec& model,
@@ -329,24 +291,25 @@ void TrainingDriver::MakeMechanism() {
 }
 
 Status TrainingDriver::BuildAndSetupSession() {
-  const bool all_reduce = config_.mode == TrainingMode::kAllReduce && !config_.local_only;
   graph_ = std::make_unique<Graph>();
-  if (all_reduce) {
-    RDMADL_RETURN_IF_ERROR(BuildAllReduceGraph(config_.model, worker_machines_,
-                                               config_.batch_size, graph_.get()));
-  } else if (config_.local_only) {
-    RDMADL_RETURN_IF_ERROR(BuildDataParallelGraph(config_.model, 1, 1, config_.batch_size,
-                                                  /*local_only=*/true, graph_.get()));
-  } else {
-    RDMADL_RETURN_IF_ERROR(BuildDataParallelGraph(config_.model, worker_machines_,
-                                                  ps_devices_, config_.batch_size,
-                                                  graph_.get()));
+  switch (config_.mode) {
+    case TrainingMode::kParameterServer:
+      RDMADL_RETURN_IF_ERROR(BuildDataParallelGraph(config_.model, worker_machines_,
+                                                    ps_devices_, config_.batch_size,
+                                                    graph_.get()));
+      break;
+    case TrainingMode::kAllReduce:
+      RDMADL_RETURN_IF_ERROR(BuildAllReduceGraph(config_.model, worker_machines_,
+                                                 config_.batch_size, graph_.get()));
+      break;
+    case TrainingMode::kLocal:
+      RDMADL_RETURN_IF_ERROR(BuildLocalGraph(config_.model, config_.batch_size, graph_.get()));
+      break;
   }
 
   MakeMechanism();
 
   runtime::SessionOptions session_options;
-  session_options.executor.num_workers = config_.executor_workers;
   session_options.executor.batch_multiplier = std::max(
       1.0, static_cast<double>(config_.batch_size) / config_.model.saturation_batch);
   session_options.step_timeout_ns = config_.step_timeout_ns;
@@ -356,21 +319,22 @@ Status TrainingDriver::BuildAndSetupSession() {
 }
 
 Status TrainingDriver::Initialize(int warmup_steps) {
-  const bool all_reduce = config_.mode == TrainingMode::kAllReduce && !config_.local_only;
-  const bool dedicated_ps =
-      !all_reduce && !config_.local_only && config_.num_ps > 0;
-  const int num_machines =
-      config_.num_machines + (dedicated_ps ? config_.num_ps : 0);
+  const bool parameter_server = config_.mode == TrainingMode::kParameterServer;
+  if (config_.num_ps > 0 && !parameter_server) {
+    return InvalidArgument(StrCat("TrainingConfig::num_ps = ", config_.num_ps,
+                                  " requires TrainingMode::kParameterServer"));
+  }
+  const bool dedicated_ps = config_.num_ps > 0;
+  const int num_machines = config_.num_machines + (dedicated_ps ? config_.num_ps : 0);
 
   runtime::ClusterOptions cluster_options;
   cluster_options.num_machines = num_machines;
   cluster_options.cost = config_.cost;
   cluster_options.topology = config_.topology;
   cluster_options.mode = ops::ComputeMode::kSimulated;
-  cluster_options.process_defaults.rdma_arena_bytes = 96ull << 30;  // Virtual.
-  cluster_options.process_defaults.num_worker_contexts = config_.executor_workers;
-  cluster_options.process_defaults.num_cqs = config_.num_cqs;
-  cluster_options.process_defaults.num_qps_per_peer = config_.num_qps_per_peer;
+  cluster_options.rdma_arena_bytes = 96ull << 30;  // Virtual.
+  cluster_options.num_cqs = config_.num_cqs;
+  cluster_options.num_qps_per_peer = config_.num_qps_per_peer;
   cluster_options.worker_tensors_on_gpu = config_.tensors_on_gpu;
   cluster_options.worker_gpudirect = config_.gpudirect;
   cluster_ = std::make_unique<runtime::Cluster>(cluster_options);
@@ -381,7 +345,7 @@ Status TrainingDriver::Initialize(int warmup_steps) {
   for (int m = 0; m < config_.num_machines; ++m) {
     RDMADL_RETURN_IF_ERROR(cluster_->AddProcess(StrCat("worker:", m), m).status());
     worker_machines_.push_back(m);
-    if (!config_.local_only && !all_reduce && !dedicated_ps) {
+    if (parameter_server && !dedicated_ps) {
       const std::string ps_name = StrCat("ps:", m);
       RDMADL_RETURN_IF_ERROR(cluster_->AddProcess(ps_name, m).status());
       ps_devices_.push_back(ps_name);
@@ -400,14 +364,13 @@ Status TrainingDriver::Initialize(int warmup_steps) {
 
   RDMADL_RETURN_IF_ERROR(BuildAndSetupSession());
 
-  if (all_reduce) {
+  if (config_.mode == TrainingMode::kAllReduce) {
     allreduce_elements_ = config_.model.TotalParamBytes() / sizeof(float);
     collective::CollectiveOptions copts;
     copts.algorithm = config_.collective_algorithm;
     copts.transport = config_.mechanism == MechanismKind::kGrpcTcp
                           ? collective::Transport::kTcpStaging
                           : collective::Transport::kRdmaZeroCopy;
-    copts.pipeline_depth = config_.collective_pipeline_depth;
     copts.materialize = false;  // Virtual gradient buffers: timing only.
     copts.num_cqs = config_.num_cqs;
     copts.op_timeout_ns = config_.step_timeout_ns;
@@ -421,10 +384,9 @@ Status TrainingDriver::Initialize(int warmup_steps) {
     std::vector<int> machines(num_machines);
     for (int m = 0; m < num_machines; ++m) machines[m] = m;
     RDMADL_ASSIGN_OR_RETURN(membership_,
-                            control::MembershipService::Create(
-                                cluster_->directory(), machines, config_.membership));
+                            control::MembershipService::Create(cluster_->directory(), machines));
     membership_->Start();
-    control::CheckpointOptions ckpt = config_.checkpoint;
+    control::CheckpointOptions ckpt;
     ckpt.interval_steps = config_.checkpoint_interval_steps;
     checkpoint_ = std::make_unique<control::CheckpointManager>(cluster_.get(), ckpt);
   }
@@ -561,8 +523,7 @@ Status TrainingDriver::RecoverFromFailure(ElasticReport* report) {
   if (worker_machines_.empty()) {
     return FailedPrecondition("elastic recovery impossible: no surviving workers");
   }
-  const bool all_reduce = config_.mode == TrainingMode::kAllReduce && !config_.local_only;
-  if (!all_reduce && !config_.local_only && ps_devices_.empty()) {
+  if (config_.mode == TrainingMode::kParameterServer && ps_devices_.empty()) {
     return FailedPrecondition("elastic recovery impossible: no surviving parameter servers");
   }
 
@@ -728,11 +689,6 @@ StatusOr<double> TrainingDriver::MeasureStepTimeMs(int steps) {
   }
   const int64_t elapsed = cluster_->simulator()->Now() - start;
   return static_cast<double>(elapsed) / steps / 1e6;
-}
-
-StatusOr<double> TrainingDriver::MeasureThroughput(int steps) {
-  RDMADL_ASSIGN_OR_RETURN(double ms, MeasureStepTimeMs(steps));
-  return 1000.0 / ms;  // Mini-batches per second (per worker, synchronized).
 }
 
 }  // namespace train

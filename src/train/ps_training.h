@@ -39,15 +39,14 @@ enum class MechanismKind {
   kRdmaZeroCopy,  // The paper's mechanism (§3).
 };
 
-const char* MechanismName(MechanismKind kind);
-
 // How gradients are aggregated across machines.
 enum class TrainingMode {
   kParameterServer,  // Figure 3: weights/gradients ship worker <-> PS.
   kAllReduce,        // Data-parallel SGD with a gradient ring all-reduce.
+  // The whole graph on worker 0: no PS, no communication (the "Local" line
+  // of Figure 11).
+  kLocal,
 };
-
-const char* TrainingModeName(TrainingMode mode);
 
 struct TrainingConfig {
   models::ModelSpec model;
@@ -59,12 +58,10 @@ struct TrainingConfig {
   // all-reduce (ring or naive, over zero-copy RDMA or TCP staging depending
   // on |mechanism|). The collective is modeled back-to-back with the compute
   // step — a conservative bound that does not overlap it with backprop.
+  // kLocal drops the PS processes too and builds the whole graph on worker 0
+  // with SGD at GPU rates; |mechanism| then moves no tensor.
   TrainingMode mode = TrainingMode::kParameterServer;
   collective::Algorithm collective_algorithm = collective::Algorithm::kRing;
-  int collective_pipeline_depth = 4;
-  // Local mode: the whole graph on one worker, no PS, no communication (the
-  // "Local" line of Figure 11).
-  bool local_only = false;
   // GPUDirect study (§3.5 / Table 3): keep worker tensors in GPU memory.
   bool tensors_on_gpu = false;
   bool gpudirect = false;
@@ -79,7 +76,6 @@ struct TrainingConfig {
   net::CostModel cost;
   // Fabric shape (flat by default; rack/spine for cluster-scale studies).
   net::TopologyConfig topology;
-  int executor_workers = 4;
   int num_cqs = 4;           // §5: "4 CQs per device and 4 QPs per connection".
   int num_qps_per_peer = 4;
   // ---- Fault tolerance (pair with sim::FaultInjector on the fabric) ----
@@ -102,29 +98,28 @@ struct TrainingConfig {
   // reconfigured), the last checkpoint is restored, and training continues.
   bool elastic = false;
   int checkpoint_interval_steps = 5;
-  control::MembershipOptions membership;
-  control::CheckpointOptions checkpoint;  // interval_steps is overridden above.
-  // Parameter-server placement: 0 = one PS process colocated with the worker
-  // on each machine (the paper's §5 deployment, the default); > 0 = that many
-  // dedicated PS machines appended after the workers (machines
+  // Parameter-server placement (kParameterServer only; Initialize rejects
+  // num_ps > 0 in the other modes): 0 = one PS process colocated with the
+  // worker on each machine (the paper's §5 deployment, the default); > 0 =
+  // that many dedicated PS machines appended after the workers (machines
   // num_machines .. num_machines+num_ps-1), so elastic tests can crash a
   // worker and a parameter server independently.
   int num_ps = 0;
 };
 
-// Builds the placed graph. |graph| must be empty.
-Status BuildDataParallelGraph(const models::ModelSpec& model, int num_workers, int num_ps,
-                              int batch_size, bool local_only, graph::Graph* graph);
-
-// Elastic overload: replicates onto the listed worker machines (replica w<m>
-// runs on device "worker:<m>", keeping its original machine tag across
-// reconfigurations) and shards the variables round-robin over |ps_devices|.
-// Rebuilding with the survivor lists after a confirmed death is how the
-// driver reassigns a dead server's shards.
+// Builds the placed graph into |graph|, which must be empty: replicates onto
+// the listed worker machines (replica w<m> runs on device "worker:<m>",
+// keeping its original machine tag across reconfigurations) and shards the
+// variables round-robin over |ps_devices|. Rebuilding with the survivor lists
+// after a confirmed death is how the driver reassigns a dead server's shards.
 Status BuildDataParallelGraph(const models::ModelSpec& model,
                               const std::vector<int>& worker_machines,
                               const std::vector<std::string>& ps_devices, int batch_size,
                               graph::Graph* graph);
+
+// Local variant (TrainingMode::kLocal): one replica on worker 0 holding every
+// variable unsharded, SGD at GPU rates; no cross-device edges.
+Status BuildLocalGraph(const models::ModelSpec& model, int batch_size, graph::Graph* graph);
 
 // All-reduce variant: every worker holds its own replica of all variables and
 // applies SGD locally (at GPU rates); there are no parameter servers and no
@@ -158,6 +153,7 @@ class TrainingDriver {
 
   // Builds the cluster, graph and session; runs mechanism setup and warm-up
   // steps (step 0 is the zero-copy mechanism's allocation-tracing step).
+  // InvalidArgument when the config sets num_ps outside kParameterServer.
   Status Initialize(int warmup_steps = 2);
 
   // One training step: a session step, plus (in kAllReduce mode) the gradient
@@ -169,9 +165,6 @@ class TrainingDriver {
 
   // Runs |steps| steps and returns the mean virtual step time in ms.
   StatusOr<double> MeasureStepTimeMs(int steps);
-
-  // Aggregate throughput in mini-batches per second (per worker step rate).
-  StatusOr<double> MeasureThroughput(int steps);
 
   // Elastic training loop (requires config.elastic). Runs until |steps|
   // post-warmup steps stand completed. A retryable step failure quiesces the

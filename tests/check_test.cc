@@ -541,7 +541,7 @@ class RdmaCheckSessionTest : public ::testing::Test {
     ClusterOptions options;
     options.num_machines = 2;
     options.mode = mode;
-    options.process_defaults.rdma_arena_bytes = 32ull << 20;
+    options.rdma_arena_bytes = 32ull << 20;
     *cluster = std::make_unique<Cluster>(options);
     CHECK_OK((*cluster)->AddProcess("ps:0", 0).status());
     CHECK_OK((*cluster)->AddProcess("worker:0", 1).status());

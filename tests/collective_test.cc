@@ -343,6 +343,29 @@ TEST(CollectiveTest, CreateValidatesArguments) {
   EXPECT_FALSE(CollectiveGroup::Create(&world.directory, {0, 1, 1}, 16).ok());
 }
 
+// Out-of-range sizes are typed errors naming the field, never silently
+// clamped into a different configuration.
+TEST(CollectiveTest, CreateRejectsOutOfRangeSizes) {
+  World world(2);
+  const struct {
+    const char* field;
+    int pipeline_depth;
+    int num_cqs;
+  } kRows[] = {{"pipeline_depth", 0, 2},
+               {"pipeline_depth", 65, 2},
+               {"num_cqs", 4, 0},
+               {"num_cqs", 4, 17}};
+  for (const auto& row : kRows) {
+    CollectiveOptions options;
+    options.pipeline_depth = row.pipeline_depth;
+    options.num_cqs = row.num_cqs;
+    auto group = CollectiveGroup::Create(&world.directory, {0, 1}, 16, options);
+    ASSERT_FALSE(group.ok()) << row.field;
+    EXPECT_EQ(group.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(group.status().message().find(row.field), std::string::npos) << group.status();
+  }
+}
+
 TEST(CollectiveTest, BackToBackCollectivesReuseTheGroup) {
   World world(4);
   const uint64_t count = 256;
@@ -499,7 +522,7 @@ TEST_P(CollectiveTimingTest, PinsCompletionTimeStatsAndSum) {
   options.algorithm = c.algorithm;
   options.transport = c.transport;
   options.pipeline_depth = c.pipeline_depth;
-  if (c.striped) options.engine.stripe_threshold_bytes = 4 << 10;
+  if (c.striped) options.stripe_threshold_bytes = 4 << 10;
   auto group = world.MakeGroup(c.hosts, c.count, options);
   ASSERT_EQ(group->algorithm(), c.algorithm);
   FillTimingInputs(group.get(), c);
@@ -627,7 +650,8 @@ std::vector<TimingCase> AllTimingCases() {
   innet.hosts = 8;
   innet.hosts_per_rack = 4;
   innet.switch_reduce = true;
-  add(innet, 22788, 0, 32992);  // The switch posts no chunks.
+  // Every member uploads each of its lanes' 2 windows: 8 x 4 x 2 chunk writes.
+  add(innet, 22788, 64, 32992);
   return cases;
 }
 

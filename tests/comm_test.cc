@@ -35,9 +35,8 @@ std::unique_ptr<Cluster> MakeCluster(int machines, ops::ComputeMode mode,
   ClusterOptions options;
   options.num_machines = machines;
   options.mode = mode;
-  options.process_defaults.rdma_arena_bytes =
-      mode == ops::ComputeMode::kReal ? (16ull << 20) : (4ull << 30);
-  options.process_defaults.seed = 7;
+  options.rdma_arena_bytes = mode == ops::ComputeMode::kReal ? (16ull << 20) : (4ull << 30);
+  options.seed = 7;
   options.worker_tensors_on_gpu = workers_on_gpu;
   options.worker_gpudirect = gdr;
   auto cluster = std::make_unique<Cluster>(options);
@@ -488,7 +487,7 @@ TEST(RpcMechanismDetailTest, LargeMessagesFragmentOnRingBuffer) {
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;
   options.cost.rpc_ring_buffer_bytes = 64 * 1024;  // Small ring for the test.
-  options.process_defaults.rdma_arena_bytes = 16ull << 20;
+  options.rdma_arena_bytes = 16ull << 20;
   Cluster cluster(options);
   ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());
   ASSERT_TRUE(cluster.AddProcess("worker:0", 1).ok());
@@ -522,7 +521,7 @@ TEST(RpcMechanismDetailTest, TcpHasNoSizeLimit) {
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kSimulated;  // 2 GB tensor: virtual memory.
   options.cost.rpc_rdma_max_message_bytes = 1ull << 30;
-  options.process_defaults.rdma_arena_bytes = 16ull << 30;
+  options.rdma_arena_bytes = 16ull << 30;
   Cluster cluster(options);
   ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());
   ASSERT_TRUE(cluster.AddProcess("worker:0", 1).ok());
@@ -557,7 +556,7 @@ TEST(MechanismTimingTest, LoopbackFasterThanCrossMachine) {
     ClusterOptions options;
     options.num_machines = machines;
     options.mode = ops::ComputeMode::kReal;
-    options.process_defaults.rdma_arena_bytes = 32ull << 20;
+    options.rdma_arena_bytes = 32ull << 20;
     Cluster cluster(options);
     CHECK_OK(cluster.AddProcess("ps:0", 0).status());
     CHECK_OK(cluster.AddProcess("worker:0", machines - 1).status());

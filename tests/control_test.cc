@@ -36,7 +36,6 @@ using collective::CollectiveOptions;
 using collective::DoneCallback;
 using control::CheckpointManager;
 using control::CheckpointOptions;
-using control::MembershipOptions;
 using control::MembershipService;
 using control::MemberState;
 using graph::Node;
@@ -67,11 +66,10 @@ struct World {
   device::DeviceDirectory directory;
 };
 
-std::unique_ptr<MembershipService> MakeMembership(World* world, int n,
-                                                  MembershipOptions options = {}) {
+std::unique_ptr<MembershipService> MakeMembership(World* world, int n) {
   std::vector<int> hosts;
   for (int i = 0; i < n; ++i) hosts.push_back(i);
-  auto service = MembershipService::Create(&world->directory, hosts, options);
+  auto service = MembershipService::Create(&world->directory, hosts);
   CHECK(service.ok()) << service.status();
   return std::move(service).value();
 }
@@ -188,7 +186,7 @@ struct CheckpointWorld {
     ClusterOptions options;
     options.num_machines = 2;
     options.mode = ops::ComputeMode::kReal;
-    options.process_defaults.rdma_arena_bytes = 8ull << 20;
+    options.rdma_arena_bytes = 8ull << 20;
     cluster = std::make_unique<Cluster>(options);
     CHECK_OK(cluster->AddProcess("ps:0", 0).status());
     CHECK_OK(cluster->AddProcess("ps:1", 1).status());
@@ -353,7 +351,7 @@ struct LadderWorld {
     ClusterOptions options;
     options.num_machines = 2;
     options.mode = ops::ComputeMode::kReal;
-    options.process_defaults.rdma_arena_bytes = 32ull << 20;
+    options.rdma_arena_bytes = 32ull << 20;
     cluster = std::make_unique<Cluster>(options);
     CHECK_OK(cluster->AddProcess("ps:0", 0).status());
     CHECK_OK(cluster->AddProcess("worker:0", 1).status());

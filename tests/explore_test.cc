@@ -19,6 +19,7 @@
 #include "src/check/rdma_check.h"
 #include "src/check/testing.h"
 #include "src/collective/collective.h"
+#include "src/comm/transfer_engine.h"
 #include "src/device/rdma_device.h"
 #include "src/net/fabric.h"
 #include "src/rdma/verbs.h"

@@ -77,8 +77,8 @@ TEST_P(TransferIntegrityTest, ChecksumSurvivesThreeSteps) {
   ClusterOptions options;
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;
-  options.process_defaults.rdma_arena_bytes = 32ull << 20;
-  options.process_defaults.seed = 5 + elements;
+  options.rdma_arena_bytes = 32ull << 20;
+  options.seed = 5 + elements;
   Cluster cluster(options);
   ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());
   ASSERT_TRUE(cluster.AddProcess("worker:0", 1).ok());
@@ -213,7 +213,7 @@ TEST_P(DeterminismTest, TwoRunsIdenticalTiming) {
     ClusterOptions options;
     options.num_machines = 2;
     options.mode = ops::ComputeMode::kReal;
-    options.process_defaults.rdma_arena_bytes = 16ull << 20;
+    options.rdma_arena_bytes = 16ull << 20;
     Cluster cluster(options);
     CHECK_OK(cluster.AddProcess("ps:0", 0).status());
     CHECK_OK(cluster.AddProcess("worker:0", 1).status());

@@ -31,8 +31,8 @@ std::unique_ptr<Cluster> MakeCluster(int machines) {
   ClusterOptions options;
   options.num_machines = machines;
   options.mode = ops::ComputeMode::kReal;
-  options.process_defaults.rdma_arena_bytes = 8ull << 20;
-  options.process_defaults.seed = 99;
+  options.rdma_arena_bytes = 8ull << 20;
+  options.seed = 99;
   return std::make_unique<Cluster>(options);
 }
 
@@ -403,7 +403,7 @@ TEST(RpcMechanismTest, RdmaVariantCrashesAboveOneGigabyte) {
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;
   options.cost.rpc_rdma_max_message_bytes = 1024;  // Scaled-down limit.
-  options.process_defaults.rdma_arena_bytes = 8ull << 20;
+  options.rdma_arena_bytes = 8ull << 20;
   Cluster cluster(options);
   ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());
   ASSERT_TRUE(cluster.AddProcess("worker:0", 1).ok());
@@ -454,8 +454,8 @@ TEST(ExecutorStatsTest, PollingAsyncSemanticsArePinned) {
   ClusterOptions options;
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;
-  options.process_defaults.rdma_arena_bytes = 8ull << 20;
-  options.process_defaults.seed = 99;
+  options.rdma_arena_bytes = 8ull << 20;
+  options.seed = 99;
   options.worker_tensors_on_gpu = true;  // Static edges into the worker stage over PCIe.
   Cluster cluster(options);
   ASSERT_TRUE(cluster.AddProcess("ps:0", 0).ok());

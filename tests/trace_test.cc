@@ -68,7 +68,7 @@ TEST(TracerIntegrationTest, DistributedStepEmitsComputeAndSendSpans) {
   runtime::ClusterOptions options;
   options.num_machines = 2;
   options.mode = ops::ComputeMode::kReal;
-  options.process_defaults.rdma_arena_bytes = 8ull << 20;
+  options.rdma_arena_bytes = 8ull << 20;
   runtime::Cluster cluster(options);
   CHECK_OK(cluster.AddProcess("ps:0", 0).status());
   CHECK_OK(cluster.AddProcess("worker:0", 1).status());
@@ -101,7 +101,7 @@ TEST(RoceTest, RocePresetRunsEndToEndAndIsSlightlySlower) {
     options.num_machines = 2;
     options.mode = ops::ComputeMode::kReal;
     options.cost = cost;
-    options.process_defaults.rdma_arena_bytes = 32ull << 20;
+    options.rdma_arena_bytes = 32ull << 20;
     runtime::Cluster cluster(options);
     CHECK_OK(cluster.AddProcess("ps:0", 0).status());
     CHECK_OK(cluster.AddProcess("worker:0", 1).status());

@@ -51,7 +51,7 @@ TEST(ModelSpecTest, CostSharesSumToOne) {
 TEST(BuildGraphTest, VariableAndTransferStructure) {
   ModelSpec model = models::Fcn5();
   graph::Graph graph;
-  ASSERT_TRUE(BuildDataParallelGraph(model, 2, 2, 8, false, &graph).ok());
+  ASSERT_TRUE(BuildDataParallelGraph(model, {0, 1}, {"ps:0", "ps:1"}, 8, &graph).ok());
   // 10 variables + per worker: input + 5 fwd + top + 4 dx + 10 grads, plus
   // 10 applies per worker on the PS side.
   int variables = 0, applies = 0, grads = 0;
@@ -68,7 +68,7 @@ TEST(BuildGraphTest, VariableAndTransferStructure) {
 TEST(BuildGraphTest, LocalModeHasNoCrossDeviceEdges) {
   ModelSpec model = models::Fcn5();
   graph::Graph graph;
-  ASSERT_TRUE(BuildDataParallelGraph(model, 4, 4, 8, /*local_only=*/true, &graph).ok());
+  ASSERT_TRUE(BuildLocalGraph(model, 8, &graph).ok());
   for (const auto& node : graph.nodes()) {
     EXPECT_EQ(node->device(), "worker:0");
   }
@@ -77,7 +77,9 @@ TEST(BuildGraphTest, LocalModeHasNoCrossDeviceEdges) {
 TEST(BuildGraphTest, VariablesShardedRoundRobin) {
   ModelSpec model = models::Fcn5();
   graph::Graph graph;
-  ASSERT_TRUE(BuildDataParallelGraph(model, 4, 4, 8, false, &graph).ok());
+  ASSERT_TRUE(
+      BuildDataParallelGraph(model, {0, 1, 2, 3}, {"ps:0", "ps:1", "ps:2", "ps:3"}, 8, &graph)
+          .ok());
   int on_ps[4] = {0, 0, 0, 0};
   for (const auto& node : graph.nodes()) {
     if (node->op() != "Variable") continue;
@@ -137,14 +139,14 @@ TEST(TrainingDriverTest, LocalModeFasterSmallClusterSlower) {
   local.model = models::Fcn5();
   local.num_machines = 1;
   local.batch_size = 32;
-  local.local_only = true;
+  local.mode = TrainingMode::kLocal;
   TrainingDriver local_driver(local);
   ASSERT_TRUE(local_driver.Initialize().ok());
   auto local_ms = local_driver.MeasureStepTimeMs(3);
   ASSERT_TRUE(local_ms.ok());
 
   TrainingConfig dist = local;
-  dist.local_only = false;
+  dist.mode = TrainingMode::kParameterServer;
   dist.mechanism = MechanismKind::kRdmaZeroCopy;
   TrainingDriver dist_driver(dist);
   ASSERT_TRUE(dist_driver.Initialize().ok());
@@ -205,6 +207,23 @@ TEST(TrainingDriverTest, AllReduceModeSmokeTest) {
   EXPECT_LT(*ms, 10'000);
   // One all-reduce per step: 2 warmups + 3 measured.
   EXPECT_EQ(driver.collective()->stats().allreduces, 5u);
+}
+
+// Dedicated parameter servers only exist in kParameterServer mode; asking for
+// them elsewhere is a typed error, not a silently ignored value.
+TEST(TrainingDriverTest, NumPsOutsideParameterServerModeIsInvalidArgument) {
+  for (TrainingMode mode : {TrainingMode::kAllReduce, TrainingMode::kLocal}) {
+    TrainingConfig config;
+    config.model = models::Fcn5();
+    config.num_machines = 2;
+    config.batch_size = 8;
+    config.mode = mode;
+    config.num_ps = 1;
+    TrainingDriver driver(config);
+    Status status = driver.Initialize();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("num_ps"), std::string::npos) << status;
+  }
 }
 
 TEST(TrainingDriverTest, GrpcRdmaFailsOnSentenceEmbedding) {

@@ -894,7 +894,7 @@ TEST(TransferEngineDeterminismTest, StripedCollectiveTracesAreByteIdentical) {
     device::DeviceDirectory directory(&rdma);
 
     collective::CollectiveOptions options;
-    options.engine.stripe_threshold_bytes = 64 << 10;
+    options.stripe_threshold_bytes = 64 << 10;
     const uint64_t count = 1 << 20;  // 4 MiB of floats: chunks stripe.
     auto group =
         collective::CollectiveGroup::Create(&directory, {0, 1, 2, 3}, count, options);
